@@ -89,6 +89,20 @@ struct Options {
     rate_limit: Option<u64>,
 }
 
+impl Options {
+    /// Whether the recorder keeps span records. Only `--stats`,
+    /// `--trace-out` and `--otlp-out` read them, so a daemon keeps them
+    /// only when one of those is given; otherwise its memory would grow
+    /// with every request. Batch runs are short-lived and always keep
+    /// them.
+    fn retains_spans(&self) -> bool {
+        self.target.as_deref() != Some("serve")
+            || self.stats
+            || self.trace_out.is_some()
+            || self.otlp_out.is_some()
+    }
+}
+
 enum ParseError {
     UnknownFlag(String),
     ExtraArgument(String),
@@ -634,7 +648,12 @@ fn main() -> ExitCode {
     // simulator and analysis stages record into it) and shared with the
     // engine (so campaign/job spans and the derived stats join the same
     // trace).
-    let recorder = Arc::new(Recorder::new());
+    let recorder = if opts.retains_spans() {
+        Recorder::new()
+    } else {
+        Recorder::new().with_span_capacity(0)
+    };
+    let recorder = Arc::new(recorder);
     horizon_telemetry::install(Arc::clone(&recorder));
 
     let mut engine = Engine::new().with_recorder(Arc::clone(&recorder));
@@ -828,4 +847,34 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::from(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn retains(args: &[&str]) -> bool {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match parse_args(&args) {
+            Ok(opts) => opts.retains_spans(),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn daemons_retain_spans_only_for_a_sink_that_reads_them() {
+        assert!(!retains(&["serve"]));
+        assert!(!retains(&["serve", "--role", "router", "--peers", "a:1"]));
+        assert!(!retains(&["serve", "--metrics-out", "m.txt"]));
+        assert!(retains(&["serve", "--stats"]));
+        assert!(retains(&["serve", "--trace-out", "t.jsonl"]));
+        assert!(retains(&["serve", "--otlp-out", "o.json"]));
+    }
+
+    #[test]
+    fn batch_runs_always_retain_spans() {
+        assert!(retains(&["all"]));
+        assert!(retains(&["table1", "--quick"]));
+        assert!(retains(&["cache-gc", "--max-entries", "1"]));
+    }
 }

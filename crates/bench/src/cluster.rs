@@ -57,7 +57,9 @@ use serde::Value;
 
 use crate::http::{read_request, Limits, Request, Response};
 use crate::sched::RunKey;
-use crate::serve::{json_num, json_str, prepare_run, signal, to_json, Pool, Saturated};
+use crate::serve::{
+    accept_until_shutdown, json_num, json_str, prepare_run, to_json, Pool, Saturated,
+};
 use horizon_core::campaign::SamplingPolicy;
 
 // ---------------------------------------------------------------------------
@@ -606,7 +608,6 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         // Peers start optimistically alive: workers commonly come up
@@ -669,16 +670,10 @@ impl Router {
     /// Returns an I/O error only for unrecoverable listener failures;
     /// per-connection errors are answered with 4xx/5xx responses instead.
     pub fn run(self) -> std::io::Result<()> {
-        signal::install();
         let poller = spawn_poller(Arc::clone(&self.state));
-        let poll = Duration::from_millis(25);
-        while !(self.shutdown.load(Ordering::SeqCst) || signal::requested()) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-                Err(_) => std::thread::sleep(poll),
-            }
-        }
+        accept_until_shutdown(&self.listener, &self.shutdown, |stream| {
+            self.dispatch(stream)
+        });
         self.shutdown.store(true, Ordering::SeqCst); // signal path: tell the poller too
         drop(self.listener);
         self.pool.shutdown();

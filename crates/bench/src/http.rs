@@ -391,12 +391,17 @@ impl Response {
     /// `Connection` header: `keep-alive` promises the server will read
     /// another request afterwards, `close` that it will hang up.
     ///
+    /// Head and body go out in one write. Written piecewise, the tail of
+    /// a kept-alive response could wait in the kernel for the client's
+    /// delayed ACK of the head (Nagle's algorithm), about 40 ms a request.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out` (typically a hung-up client).
     pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let mut wire = Vec::with_capacity(160 + self.body.len());
         write!(
-            out,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
@@ -405,10 +410,11 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" }
         )?;
         for (name, value) in &self.extra_headers {
-            write!(out, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        out.write_all(b"\r\n")?;
-        out.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        out.write_all(&wire)?;
         out.flush()
     }
 }
@@ -421,11 +427,12 @@ impl Response {
 /// (including `Transfer-Encoding: chunked` and `Connection: close` — a
 /// streamed response always ends its connection, keeping the keep-alive
 /// loop's framing trivially correct), [`ChunkedWriter::write_chunk`] sends
-/// one chunk per call (hex length, CRLF, data, CRLF) flushing immediately
-/// so events reach the client as they happen, and [`ChunkedWriter::finish`]
-/// terminates the stream with the zero-length chunk. Dropping without
-/// `finish` leaves the stream unterminated — clients see a truncated
-/// transfer, which is the honest signal for an aborted run.
+/// one chunk per call (hex length, CRLF, data, CRLF) in a single write,
+/// flushing immediately so events reach the client as they happen, and
+/// [`ChunkedWriter::finish`] terminates the stream with the zero-length
+/// chunk. Dropping without `finish` leaves the stream unterminated —
+/// clients see a truncated transfer, which is the honest signal for an
+/// aborted run.
 #[derive(Debug)]
 pub struct ChunkedWriter<'a, W: Write> {
     out: &'a mut W,
@@ -443,17 +450,19 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         content_type: &str,
         extra_headers: &[(&'static str, String)],
     ) -> io::Result<Self> {
+        let mut head = Vec::with_capacity(192);
         write!(
-            out,
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nCache-Control: no-store\r\n",
             status,
             status_text(status),
             content_type,
         )?;
         for (name, value) in extra_headers {
-            write!(out, "{name}: {value}\r\n")?;
+            write!(head, "{name}: {value}\r\n")?;
         }
-        out.write_all(b"\r\n")?;
+        head.extend_from_slice(b"\r\n");
+        out.write_all(&head)?;
         out.flush()?;
         Ok(ChunkedWriter { out })
     }
@@ -468,9 +477,10 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.out, "{:x}\r\n", data.len())?;
-        self.out.write_all(data)?;
-        self.out.write_all(b"\r\n")?;
+        let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+        chunk.extend_from_slice(data);
+        chunk.extend_from_slice(b"\r\n");
+        self.out.write_all(&chunk)?;
         self.out.flush()
     }
 
@@ -714,6 +724,49 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// A sink that records each `write` call separately, the way a
+    /// socket without buffering sees them.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_and_chunk_is_one_write() {
+        let mut sink = CountingSink::default();
+        let response = Response::json(200, "{\"ok\":true}".to_string())
+            .with_header("Retry-After", "1")
+            .with_header("Allow", "GET");
+        response.write_to(&mut sink, true).unwrap();
+        assert_eq!(sink.writes.len(), 1, "head and body in one write");
+        let mut whole = Vec::new();
+        response.write_to(&mut whole, true).unwrap();
+        assert_eq!(sink.writes[0], whole);
+
+        let mut sink = CountingSink::default();
+        {
+            let mut w = ChunkedWriter::begin(&mut sink, 200, "text/event-stream", &[]).unwrap();
+            w.write_chunk(b"event: phase\ndata: {}\n\n").unwrap();
+            w.write_chunk(b"event: report\ndata: {}\n\n").unwrap();
+            w.finish().unwrap();
+        }
+        // Head, two chunks, terminator.
+        assert_eq!(sink.writes.len(), 4);
+        assert!(sink.writes[1].starts_with(b"17\r\nevent: phase"));
+        assert!(sink.writes[1].ends_with(b"\n\n\r\n"));
     }
 
     #[test]

@@ -156,11 +156,11 @@ impl Default for ServeOptions {
 }
 
 /// Unix signal plumbing: a handler that flips one atomic flag, the only
-/// async-signal-safe thing worth doing. The accept loop polls the flag.
-/// Crate-visible so the cluster router's accept loop shares the same
-/// shutdown discipline.
+/// async-signal-safe thing worth doing. The watcher of
+/// [`accept_until_shutdown`] polls the flag, so the cluster router shares
+/// the same shutdown discipline.
 #[cfg(unix)]
-pub(crate) mod signal {
+mod signal {
     #![allow(unsafe_code)]
 
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -195,7 +195,7 @@ pub(crate) mod signal {
 }
 
 #[cfg(not(unix))]
-pub(crate) mod signal {
+mod signal {
     /// Non-unix builds have no signal-driven shutdown; use
     /// [`super::Server::shutdown_handle`].
     pub fn install() {}
@@ -203,6 +203,70 @@ pub(crate) mod signal {
     pub fn requested() -> bool {
         false
     }
+}
+
+/// How often the shutdown watcher of [`accept_until_shutdown`] checks the
+/// flags (and, once stopping, re-pokes the listener until it has exited).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
+
+/// The accept loop shared by the daemon and the cluster router: hands
+/// each accepted connection, with `TCP_NODELAY` set, to `dispatch` until
+/// `shutdown` is set or `SIGTERM`/`SIGINT` arrives, then returns.
+///
+/// The acceptor blocks in `accept`, so a connection is picked up the
+/// moment it arrives rather than on the next tick of a poll. A watcher
+/// thread checks the flags instead; once either is set it wakes the
+/// acceptor by connecting to the listener's own address, and keeps doing
+/// so until the acceptor has returned. Connections accepted after that
+/// point (the wake-up itself included) are closed unserved.
+pub(crate) fn accept_until_shutdown(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    mut dispatch: impl FnMut(TcpStream),
+) {
+    signal::install();
+    let stopping = || shutdown.load(Ordering::SeqCst) || signal::requested();
+    let wake = listener.local_addr().map(|mut addr| {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
+    });
+    let returned = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("accept-watcher".into())
+            .spawn_scoped(scope, || {
+                while !returned.load(Ordering::SeqCst) {
+                    if stopping() {
+                        if let Ok(addr) = &wake {
+                            let _ = TcpStream::connect_timeout(addr, SHUTDOWN_POLL);
+                        }
+                    }
+                    std::thread::sleep(SHUTDOWN_POLL);
+                }
+            })
+            .expect("spawn accept watcher");
+        loop {
+            let accepted = listener.accept();
+            if stopping() {
+                break;
+            }
+            match accepted {
+                Ok((stream, _peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    dispatch(stream);
+                }
+                // Transient accept failures (e.g. EMFILE, aborted
+                // handshakes) must not kill the daemon, nor spin it.
+                Err(_) => std::thread::sleep(SHUTDOWN_POLL),
+            }
+        }
+        returned.store(true, Ordering::SeqCst);
+    });
 }
 
 /// Error returned by [`Pool::try_submit`] when the queue is at capacity;
@@ -380,7 +444,6 @@ impl Server {
         default_jobs: Option<usize>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let sched = RunScheduler::new(
             opts.workers,
@@ -439,17 +502,9 @@ impl Server {
     /// Returns an I/O error only for unrecoverable listener failures;
     /// per-connection errors are answered with 4xx/5xx responses instead.
     pub fn run(self) -> std::io::Result<()> {
-        signal::install();
-        let poll = Duration::from_millis(25);
-        while !(self.shutdown.load(Ordering::SeqCst) || signal::requested()) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-                // Transient accept failures (e.g. EMFILE, aborted
-                // handshakes) must not kill the daemon.
-                Err(_) => std::thread::sleep(poll),
-            }
-        }
+        accept_until_shutdown(&self.listener, &self.shutdown, |stream| {
+            self.dispatch(stream)
+        });
         drop(self.listener); // stop accepting before draining
                              // Connection pool first: its workers may be waiting on run slots,
                              // and the run workers (still alive here) are what answer them.
@@ -1563,6 +1618,36 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(ran.load(Ordering::SeqCst), 10, "shutdown drains the queue");
+    }
+
+    #[test]
+    fn accept_loop_dispatches_without_delay_and_stops_on_the_flag() {
+        // The unspecified address also exercises the wake-up's mapping to
+        // loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = TcpListener::bind(bind).expect("bind ephemeral");
+            let port = listener.local_addr().unwrap().port();
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let (tx, rx) = mpsc::channel();
+            let flag = Arc::clone(&shutdown);
+            let acceptor = std::thread::spawn(move || {
+                accept_until_shutdown(&listener, &flag, |stream| {
+                    tx.send(stream.nodelay().expect("read nodelay")).unwrap();
+                });
+            });
+            for _ in 0..2 {
+                let _client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+                let nodelay = rx.recv_timeout(Duration::from_secs(5)).expect("dispatched");
+                assert!(nodelay, "accepted sockets carry TCP_NODELAY");
+            }
+            // The acceptor is parked in a blocking accept: only the
+            // watcher's wake-up can end the loop.
+            shutdown.store(true, Ordering::SeqCst);
+            let started = Instant::now();
+            acceptor.join().expect("acceptor returns");
+            assert!(started.elapsed() < Duration::from_secs(5), "{bind}");
+            assert!(rx.try_recv().is_err(), "the wake-up is not dispatched");
+        }
     }
 
     #[test]

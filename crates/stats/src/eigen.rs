@@ -179,20 +179,38 @@ fn finish(m: Matrix, v: Matrix) -> EigenDecomposition {
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vectors = Matrix::zeros(n, n);
     for (new_j, &old_j) in order.iter().enumerate() {
-        // Fix sign: make the largest-magnitude component positive so the
-        // decomposition is deterministic across runs.
-        let col = v.col(old_j);
-        let sign = col
-            .iter()
-            .cloned()
-            .max_by(|a, b| a.abs().partial_cmp(&b.abs()).expect("finite"))
-            .map(|x| if x < 0.0 { -1.0 } else { 1.0 })
-            .unwrap_or(1.0);
+        let mut col = v.col(old_j);
+        orient(&mut col);
         for k in 0..n {
-            vectors[(k, new_j)] = sign * col[k];
+            vectors[(k, new_j)] = col[k];
         }
     }
     EigenDecomposition { values, vectors }
+}
+
+/// Relative tolerance under which two component magnitudes count as tied
+/// for [`orient`].
+const SIGN_TIE: f64 = 1e-9;
+
+/// Fixes an eigenvector's sign so decompositions are deterministic: the
+/// first component whose magnitude is within [`SIGN_TIE`] (relative) of
+/// the largest one is made positive.
+///
+/// "First within a tolerance" rather than "the largest" keeps the choice
+/// stable when two components are tied up to rounding: solvers that
+/// differ only in the last bits then still pick the same component.
+pub(crate) fn orient(v: &mut [f64]) {
+    let max = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let lead = v
+        .iter()
+        .copied()
+        .find(|x| x.abs() >= max * (1.0 - SIGN_TIE))
+        .unwrap_or(0.0);
+    if lead < 0.0 {
+        for x in v.iter_mut() {
+            *x = -*x;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -271,6 +289,32 @@ mod tests {
                 assert!(approx(vtv[(i, j)], expect, 1e-10));
             }
         }
+    }
+
+    #[test]
+    fn sign_goes_to_the_first_of_tied_components() {
+        // The λ = 3 eigenvector is (1, -1)/√2: its two components tie
+        // exactly, so the first one decides the sign.
+        let a = Matrix::from_rows(vec![vec![2.0, -1.0], vec![-1.0, 2.0]]).unwrap();
+        let eig = jacobi_eigen(&a).unwrap();
+        assert!(approx(eig.values[0], 3.0, 1e-12));
+        let v0 = eig.vector(0);
+        assert_eq!(v0[0], -v0[1]);
+        assert!(v0[0] > 0.0, "first tied component must be positive: {v0:?}");
+    }
+
+    #[test]
+    fn orient_treats_rounding_level_differences_as_ties() {
+        // The second magnitude is larger only in the last bits.
+        let mut v = vec![0.1, -0.203_653_151_887_991_85, 0.203_653_151_887_992_02];
+        orient(&mut v);
+        assert!(v[1] > 0.0, "{v:?}");
+        let mut w = vec![0.5, -0.9, 0.1];
+        orient(&mut w);
+        assert_eq!(w, vec![-0.5, 0.9, -0.1]);
+        let mut zero = vec![0.0, 0.0];
+        orient(&mut zero);
+        assert_eq!(zero, vec![0.0, 0.0]);
     }
 
     #[test]

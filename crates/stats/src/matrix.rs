@@ -184,16 +184,25 @@ impl Matrix {
     }
 
     /// Per-column means.
+    ///
+    /// A column whose values are all equal gets that value exactly: a
+    /// rounded sum over `n` can miss it by an ulp, which would give the
+    /// column a tiny nonzero variance and make it look like a feature.
     pub fn column_means(&self) -> Vec<f64> {
+        let Some(first) = self.iter_rows().next() else {
+            return vec![f64::NAN; self.cols];
+        };
         let mut means = vec![0.0; self.cols];
+        let mut uniform = vec![true; self.cols];
         for row in self.iter_rows() {
-            for (m, &v) in means.iter_mut().zip(row) {
+            for (((m, u), &v), &f) in means.iter_mut().zip(&mut uniform).zip(row).zip(first) {
                 *m += v;
+                *u &= v == f;
             }
         }
         let n = self.rows as f64;
-        for m in &mut means {
-            *m /= n;
+        for ((m, u), &f) in means.iter_mut().zip(&uniform).zip(first) {
+            *m = if *u { f } else { *m / n };
         }
         means
     }
@@ -317,6 +326,16 @@ mod tests {
 
     fn sample() -> Matrix {
         Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()
+    }
+
+    #[test]
+    fn uniform_column_mean_is_exact() {
+        // Ten copies of 0.1 sum to 0.9999999999999999, so a plain sum/n
+        // misses the mean and leaves the column a spurious variance.
+        let x = Matrix::from_rows((0..10).map(|i| vec![0.1, i as f64]).collect()).unwrap();
+        assert_eq!(x.column_means()[0], 0.1);
+        assert_eq!(x.column_stds()[0], 0.0);
+        assert_eq!(x.column_means()[1], 4.5);
     }
 
     #[test]

@@ -1,10 +1,119 @@
 //! Property-based tests for the statistical core.
 
 use horizon_stats::{
-    correlation_matrix, euclidean, geometric_mean, jacobi_eigen, manhattan, mean, ranks,
-    standardize, DistanceMatrix, Matrix, Metric, Pca, Retention,
+    correlation_matrix, covariance_matrix, euclidean, geometric_mean, jacobi_eigen, manhattan,
+    mean, ranks, standardize, ColumnScaler, DistanceMatrix, Matrix, Metric, Pca, PcaBasis,
+    Retention,
 };
 use proptest::prelude::*;
+
+/// Strategy: a matrix with 2–12 observations and at least as many
+/// features (up to 40) — the shape `Pca` solves in observation space.
+/// Besides random columns it has the degeneracies of real counter tables:
+/// constant columns and exact copies or negations of an earlier column.
+fn wide_matrix() -> impl Strategy<Value = Matrix> {
+    (2..=12usize)
+        .prop_flat_map(|n| (Just(n), n..=40usize))
+        .prop_flat_map(|(n, p)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(-1e3..1e3f64, n..=n), p..=p),
+                proptest::collection::vec(0..8usize, p..=p),
+                proptest::collection::vec(0..40usize, p..=p),
+            )
+                .prop_map(move |(mut cols, kinds, sources)| {
+                    for c in 1..p {
+                        let src = sources[c] % c;
+                        match kinds[c] {
+                            5 => cols[c] = vec![cols[c][0]; n],
+                            6 => cols[c] = cols[src].clone(),
+                            7 => cols[c] = cols[src].iter().map(|v| -v).collect(),
+                            _ => {}
+                        }
+                    }
+                    let rows = (0..n).map(|r| cols.iter().map(|col| col[r]).collect());
+                    Matrix::from_rows(rows.collect()).expect("well-formed")
+                })
+        })
+}
+
+/// Checks a fit against the reference: Jacobi on the full `p × p`
+/// correlation or covariance matrix. Eigenvalues and score distances are
+/// compared relative to the spectrum's and the scores' scale, since the
+/// covariance basis keeps the raw (up to 1e3) feature units.
+fn matches_reference(x: &Matrix, basis: PcaBasis) -> Result<(), TestCaseError> {
+    let (basis_matrix, scaler) = match basis {
+        PcaBasis::Correlation => (
+            correlation_matrix(x).unwrap(),
+            ColumnScaler::fit(x).unwrap(),
+        ),
+        PcaBasis::Covariance => (
+            covariance_matrix(x).unwrap(),
+            ColumnScaler::fit_center_only(x).unwrap(),
+        ),
+    };
+    let reference = jacobi_eigen(&basis_matrix).unwrap();
+    let values: Vec<f64> = reference.values.iter().map(|v| v.max(0.0)).collect();
+    let kaiser = values.iter().filter(|&&v| v >= 1.0).count().max(1);
+
+    let pca = Pca::fit_with(x, Retention::Kaiser, basis).unwrap();
+    prop_assert_eq!(pca.components(), kaiser);
+    let scale = values[0].max(1.0);
+    for (j, (a, b)) in pca.eigenvalues().iter().zip(&values).enumerate() {
+        prop_assert!(
+            (a - b).abs() <= 1e-9 * scale,
+            "{:?} λ{}: {} vs {}",
+            basis,
+            j,
+            a,
+            b
+        );
+    }
+
+    let keep: Vec<usize> = (0..kaiser).collect();
+    let z = scaler.transform(x).unwrap();
+    let ref_scores = z.matmul(&reference.vectors.select_cols(&keep)).unwrap();
+    let ours = DistanceMatrix::from_observations(pca.scores(), Metric::Euclidean);
+    let theirs = DistanceMatrix::from_observations(&ref_scores, Metric::Euclidean);
+    let mut spread = 1.0f64;
+    for i in 0..x.rows() {
+        for j in 0..x.rows() {
+            spread = spread.max(theirs.get(i, j));
+        }
+    }
+    for i in 0..x.rows() {
+        for j in 0..x.rows() {
+            let (a, b) = (ours.get(i, j), theirs.get(i, j));
+            prop_assert!(
+                (a - b).abs() <= 1e-8 * spread,
+                "{:?} d({},{}): {} vs {}",
+                basis,
+                i,
+                j,
+                a,
+                b
+            );
+        }
+    }
+
+    let all = Pca::fit_with(x, Retention::All, basis).unwrap();
+    let l = all.loadings();
+    prop_assert_eq!(l.cols(), x.cols());
+    let gram = l.transpose().matmul(l).unwrap();
+    for i in 0..l.cols() {
+        for j in 0..l.cols() {
+            let expect = if i == j { 1.0 } else { 0.0 };
+            prop_assert!(
+                (gram[(i, j)] - expect).abs() <= 1e-9,
+                "{:?} LᵀL({},{}) = {}",
+                basis,
+                i,
+                j,
+                gram[(i, j)]
+            );
+        }
+    }
+    Ok(())
+}
 
 /// Strategy: a well-formed observation matrix with bounded values.
 fn obs_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
@@ -67,6 +176,16 @@ proptest! {
             let m = mean(&col).unwrap();
             prop_assert!(m.abs() < 1e-7);
         }
+    }
+
+    #[test]
+    fn observation_space_matches_correlation_reference(x in wide_matrix()) {
+        matches_reference(&x, PcaBasis::Correlation)?;
+    }
+
+    #[test]
+    fn observation_space_matches_covariance_reference(x in wide_matrix()) {
+        matches_reference(&x, PcaBasis::Covariance)?;
     }
 
     #[test]

@@ -163,6 +163,10 @@ impl Recorder {
     }
 
     /// Overrides the retained-span cap (counters/histograms are unaffected).
+    /// A cap of 0 turns span records off: nothing is retained and nothing
+    /// counts as dropped, while per-span-name wall histograms stay exact.
+    /// Long-lived processes that never export a trace use it, so their
+    /// memory does not grow with every request.
     #[must_use]
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
         self.span_capacity = capacity;
@@ -354,6 +358,12 @@ impl Recorder {
     /// A consistent copy of everything recorded so far. Bus ring-overflow
     /// drops, if any, appear as the [`EVENTS_DROPPED_COUNTER`] counter.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.copy_state(true)
+    }
+
+    /// [`Recorder::snapshot`], with the span records left out unless
+    /// `with_spans` (the aggregates alone are all a metrics scrape reads).
+    fn copy_state(&self, with_spans: bool) -> TelemetrySnapshot {
         let state = self.state.lock().expect("telemetry state");
         let mut counters = state.counters.clone();
         let events_dropped = self.bus.dropped();
@@ -361,7 +371,11 @@ impl Recorder {
             counters.insert(EVENTS_DROPPED_COUNTER, events_dropped);
         }
         TelemetrySnapshot {
-            spans: state.spans.clone(),
+            spans: if with_spans {
+                state.spans.clone()
+            } else {
+                Vec::new()
+            },
             dropped_spans: state.dropped_spans,
             counters,
             gauges: state.gauges.clone(),
@@ -381,10 +395,11 @@ impl Recorder {
 
     /// Renders the live state in Prometheus text exposition format — a
     /// snapshot taken and serialized in one call, for scrape-style readers
-    /// such as the `repro serve` `/metrics` endpoint.
+    /// such as the `repro serve` `/metrics` endpoint. The exposition reads
+    /// only aggregates, so the span records are never copied.
     pub fn prometheus_text(&self) -> String {
         let mut buf = Vec::new();
-        crate::write_prometheus(&self.snapshot(), &mut buf).expect("writing to memory");
+        crate::write_prometheus(&self.copy_state(false), &mut buf).expect("writing to memory");
         String::from_utf8(buf).expect("exposition text is UTF-8")
     }
 
@@ -418,7 +433,7 @@ impl Recorder {
                 .record(duration_nanos);
             if state.spans.len() < self.span_capacity {
                 state.spans.push(record);
-            } else {
+            } else if self.span_capacity > 0 {
                 state.dropped_spans += 1;
             }
         }
@@ -583,6 +598,32 @@ mod tests {
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.dropped_spans, 3);
         assert_eq!(snap.span_wall.get("phase").unwrap().count(), 5);
+    }
+
+    #[test]
+    fn zero_span_cap_turns_records_off_without_counting_drops() {
+        let r = Arc::new(Recorder::new().with_span_capacity(0));
+        for _ in 0..5 {
+            let _s = r.span("phase");
+        }
+        let snap = r.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.dropped_spans, 0);
+        assert_eq!(snap.span_wall.get("phase").unwrap().count(), 5);
+        assert!(r.prometheus_text().contains("horizon_dropped_spans 0\n"));
+    }
+
+    #[test]
+    fn prometheus_text_matches_the_full_snapshot_exposition() {
+        let r = Arc::new(Recorder::new());
+        r.counter_add("c", 2);
+        r.histogram_record("h", 40);
+        for _ in 0..3 {
+            let _s = r.span("phase");
+        }
+        let mut full = Vec::new();
+        crate::write_prometheus(&r.snapshot(), &mut full).unwrap();
+        assert_eq!(r.prometheus_text().into_bytes(), full);
     }
 
     #[test]

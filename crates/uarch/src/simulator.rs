@@ -81,11 +81,11 @@ impl CoreSimulator {
     /// warmup) using the given trace seed and returns the counters.
     ///
     /// When a warmup is configured, the caches and TLBs are additionally
-    /// *pre-warmed*: every line of every cache-scale data region (≤ 32 MiB)
-    /// and of the code regions is touched once, emulating the steady state
-    /// of a benchmark that has already been running for minutes — without
-    /// it, short simulation windows over-count cold misses of
-    /// rarely-touched regions.
+    /// *pre-warmed*: every line of every cache-scale data region
+    /// (≤ 6 MiB, `PREWARM_LIMIT`) and of the code regions is touched once,
+    /// emulating the steady state of a benchmark that has already been
+    /// running for minutes — without it, short simulation windows
+    /// over-count cold misses of rarely-touched regions.
     pub fn run(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Counters {
         self.run_trace(profile, instructions, TraceGenerator::new(profile, seed))
     }
