@@ -4,23 +4,13 @@
 //! repro <experiment> [flags]
 //! repro all [flags]
 //! repro list
-//! repro cache-gc --cache-dir DIR [--max-entries N] [--max-trace-bytes N]
+//! repro cache-gc --cache-dir DIR [--max-entries N]
 //! repro serve [--addr HOST:PORT] [flags]
 //!
 //! flags:
 //!   --quick             reduced-scale config (3 machines, short windows)
-//!   --sampling <MODE>   exact (default) or simpoint: phase-sampled
-//!                       simulation — clusters trace intervals and
-//!                       simulates only representatives (approximate,
-//!                       error-budgeted; see DESIGN.md §15)
-//!   --sampling-interval <N>    simpoint: instructions per interval
-//!   --sampling-max-phases <N>  simpoint: cluster/phase budget
 //!   --jobs <N>          worker threads (overrides HORIZON_JOBS)
-//!   --cache-dir <DIR>   persist measurements to an on-disk cache (also
-//!                       enables a packed trace store at DIR/traces)
-//!   --trace-store <DIR> persist packed instruction traces at DIR
-//!                       (overrides the DIR/traces default)
-//!   --no-trace-store    disable the trace store entirely
+//!   --cache-dir <DIR>   persist measurements to an on-disk cache
 //!   --stats             print engine statistics and the per-phase
 //!                       wall-clock table to stderr when done
 //!   --progress          live progress lines on stderr while the run
@@ -30,17 +20,15 @@
 //!   --metrics-out <FILE> write counters/histograms in Prometheus text form
 //!   --otlp-out <FILE>   write spans as an OTLP/JSON trace-export document
 //!   --max-entries <N>   cache-gc: measurement entries to keep (default 1024)
-//!   --max-trace-bytes <N>  cache-gc: trace-store byte budget
-//!                       (default 268435456 = 256 MiB)
 //!   --addr <HOST:PORT>  serve: bind address (default 127.0.0.1:7878)
 //!   --workers <N>       serve: request worker threads
 //!   --queue-cap <N>     serve: queued connections beyond busy workers
 //!                       (past the cap requests get 503 + Retry-After)
 //!   --request-timeout-ms <N>  serve: default per-run deadline
-//!   --role <ROLE>       serve: cluster role, router or worker
-//!   --peers <LIST>      serve: comma-separated HOST:PORT peers — the
-//!                       fleet a router routes to, or the siblings a
-//!                       worker pulls packed traces from on a miss
+//!   --role <ROLE>       serve: cluster role, router or worker (a
+//!                       worker is a plain daemon)
+//!   --peers <LIST>      serve (router): comma-separated HOST:PORT
+//!                       workers the router routes to
 //!   --rate-limit <N>    serve (router): per-client token-bucket refill
 //!                       rate in run-weight tokens per second
 //! ```
@@ -54,26 +42,18 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use horizon_bench::cluster::{peer_fetch, Router, RouterOptions};
+use horizon_bench::cluster::{Router, RouterOptions};
 use horizon_bench::serve::{ServeOptions, Server};
 use horizon_bench::{find_experiment, run_experiment, ReproConfig, REGISTRY};
-use horizon_core::campaign::SamplingPolicy;
-use horizon_engine::{DiskCache, Engine, EngineStats, TraceStore};
-use horizon_simpoint::SimPointConfig;
+use horizon_engine::{DiskCache, Engine, EngineStats};
 use horizon_telemetry::{EventKind, Recorder};
 use std::time::{Duration, Instant};
 
 struct Options {
     target: Option<String>,
     quick: bool,
-    sampling: Option<String>,
-    sampling_interval: Option<u64>,
-    sampling_max_phases: Option<u64>,
     jobs: Option<usize>,
     cache_dir: Option<String>,
-    trace_store: Option<String>,
-    no_trace_store: bool,
-    max_trace_bytes: Option<u64>,
     stats: bool,
     progress: bool,
     trace_out: Option<String>,
@@ -127,14 +107,8 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut opts = Options {
         target: None,
         quick: false,
-        sampling: None,
-        sampling_interval: None,
-        sampling_max_phases: None,
         jobs: None,
         cache_dir: None,
-        trace_store: None,
-        no_trace_store: false,
-        max_trace_bytes: None,
         stats: false,
         progress: false,
         trace_out: None,
@@ -163,31 +137,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         };
         match flag {
             "--quick" => opts.quick = true,
-            "--sampling" => {
-                let v = value("--sampling")?;
-                if v != "exact" && v != "simpoint" {
-                    return Err(ParseError::BadValue("--sampling", v));
-                }
-                opts.sampling = Some(v);
-            }
-            "--sampling-interval" => {
-                let v = value("--sampling-interval")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--sampling-interval", v))?;
-                opts.sampling_interval = Some(n);
-            }
-            "--sampling-max-phases" => {
-                let v = value("--sampling-max-phases")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--sampling-max-phases", v))?;
-                opts.sampling_max_phases = Some(n);
-            }
             "--stats" => opts.stats = true,
             "--progress" => opts.progress = true,
             "--jobs" => {
@@ -200,16 +149,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                 opts.jobs = Some(n);
             }
             "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--trace-store" => opts.trace_store = Some(value("--trace-store")?),
-            "--no-trace-store" => opts.no_trace_store = true,
-            "--max-trace-bytes" => {
-                let v = value("--max-trace-bytes")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .ok_or(ParseError::BadValue("--max-trace-bytes", v))?;
-                opts.max_trace_bytes = Some(n);
-            }
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--otlp-out" => opts.otlp_out = Some(value("--otlp-out")?),
@@ -291,26 +230,19 @@ const SUBCOMMANDS: &str = "all, list, serve, cache-gc, help";
 
 fn usage() {
     eprintln!(
-        "usage: repro <experiment|all|list> [--quick] [--sampling exact|simpoint] \
-         [--sampling-interval N] [--sampling-max-phases N] [--jobs N] [--cache-dir DIR] \
-         [--trace-store DIR] [--no-trace-store] [--stats] [--progress] [--trace-out FILE] \
-         [--metrics-out FILE] [--otlp-out FILE]\n\
-         \x20      repro cache-gc --cache-dir DIR [--max-entries N] [--max-trace-bytes N]\n\
+        "usage: repro <experiment|all|list> [--quick] [--jobs N] [--cache-dir DIR] [--stats] \
+         [--progress] [--trace-out FILE] [--metrics-out FILE] [--otlp-out FILE]\n\
+         \x20      repro cache-gc --cache-dir DIR [--max-entries N]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--trace-store DIR] \
-         [--role router|worker] [--peers HOST:PORT,...] [--rate-limit N]"
+         [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--role router|worker] \
+         [--peers HOST:PORT,...] [--rate-limit N]"
     );
     eprintln!("subcommands: {SUBCOMMANDS}");
     let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
     eprintln!("experiments: {}", ids.join(", "));
 }
 
-/// The trace-store byte budget `cache-gc` prunes to when
-/// `--max-trace-bytes` is not given: 256 MiB.
-const DEFAULT_MAX_TRACE_BYTES: u64 = 256 << 20;
-
-/// Prunes the on-disk cache down to `max_entries` LRU entries, and the
-/// trace store (if one is in play) down to `--max-trace-bytes`.
+/// Prunes the on-disk cache down to `max_entries` LRU entries.
 fn run_cache_gc(opts: &Options) -> u8 {
     let Some(dir) = &opts.cache_dir else {
         eprintln!("error: cache-gc requires --cache-dir");
@@ -324,7 +256,7 @@ fn run_cache_gc(opts: &Options) -> u8 {
             return 1;
         }
     };
-    let mut report = match cache.gc(max_entries) {
+    let report = match cache.gc(max_entries) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: cache gc failed for '{dir}': {e}");
@@ -335,54 +267,6 @@ fn run_cache_gc(opts: &Options) -> u8 {
         "cache-gc: examined {} entries, removed {}, reclaimed {} bytes, retained {}",
         report.examined, report.removed, report.reclaimed_bytes, report.retained
     );
-
-    // Prune the trace store too: an explicit --trace-store DIR always, the
-    // implicit <cache-dir>/traces only when it exists (so a gc pass never
-    // conjures an empty store directory).
-    let trace_dir = match (&opts.trace_store, opts.no_trace_store) {
-        (_, true) => None,
-        (Some(dir), _) => Some(std::path::PathBuf::from(dir)),
-        (None, _) => {
-            let implicit = std::path::Path::new(dir).join("traces");
-            implicit.is_dir().then_some(implicit)
-        }
-    };
-    if let Some(trace_dir) = trace_dir {
-        let store = match TraceStore::open(&trace_dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!(
-                    "error: cannot open trace store '{}': {e}",
-                    trace_dir.display()
-                );
-                return 1;
-            }
-        };
-        match store.gc(opts.max_trace_bytes.unwrap_or(DEFAULT_MAX_TRACE_BYTES)) {
-            Ok(trace) => {
-                report.absorb_trace(&trace);
-                println!(
-                    "cache-gc: examined {} traces, removed {}, reclaimed {} bytes, \
-                     retained {} ({} bytes)",
-                    report.trace_examined,
-                    report.trace_removed,
-                    report.trace_reclaimed_bytes,
-                    report.trace_retained,
-                    report.trace_retained_bytes
-                );
-                if report.trace_tmp_removed > 0 {
-                    println!(
-                        "cache-gc: pruned {} orphaned temp file(s), reclaimed {} bytes",
-                        report.trace_tmp_removed, report.trace_tmp_reclaimed_bytes
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("error: trace gc failed for '{}': {e}", trace_dir.display());
-                return 1;
-            }
-        }
-    }
     0
 }
 
@@ -591,37 +475,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cfg = if opts.quick {
+    let cfg = if opts.quick {
         ReproConfig::quick()
     } else {
         ReproConfig::default()
     };
-    // The sampling knobs only mean something under `--sampling simpoint`;
-    // silently ignoring them would mask typos like a missing mode flag.
-    if opts.sampling.as_deref() != Some("simpoint") {
-        let misplaced: &[(&str, bool)] = &[
-            ("--sampling-interval", opts.sampling_interval.is_some()),
-            ("--sampling-max-phases", opts.sampling_max_phases.is_some()),
-        ];
-        if let Some((flag, _)) = misplaced.iter().find(|(_, set)| *set) {
-            eprintln!("error: flag '{flag}' requires '--sampling simpoint'");
-            return ExitCode::from(2);
-        }
-    } else {
-        cfg.campaign.sampling = SamplingPolicy::SimPoint {
-            interval: opts
-                .sampling_interval
-                .unwrap_or(SimPointConfig::DEFAULT_INTERVAL),
-            max_phases: opts
-                .sampling_max_phases
-                .unwrap_or(SimPointConfig::DEFAULT_MAX_PHASES),
-        };
-    }
-
     // Cluster flag consistency, checked up front so a bad topology never
     // gets as far as binding a socket.
-    if opts.peers.is_some() && opts.role.is_none() {
-        eprintln!("error: flag '--peers' requires '--role router' or '--role worker'");
+    if opts.peers.is_some() && opts.role.as_deref() != Some("router") {
+        eprintln!("error: flag '--peers' requires '--role router'");
         return ExitCode::from(2);
     }
     if opts.role.as_deref() == Some("router") && opts.peers.is_none() {
@@ -630,17 +492,6 @@ fn main() -> ExitCode {
     }
     if opts.rate_limit.is_some() && opts.role.as_deref() != Some("router") {
         eprintln!("error: flag '--rate-limit' requires '--role router'");
-        return ExitCode::from(2);
-    }
-    if opts.role.as_deref() == Some("worker")
-        && opts.peers.is_some()
-        && opts.cache_dir.is_none()
-        && (opts.trace_store.is_none() || opts.no_trace_store)
-    {
-        eprintln!(
-            "error: a peered worker needs a trace store to install fetched traces into \
-             (give --cache-dir or --trace-store)"
-        );
         return ExitCode::from(2);
     }
 
@@ -669,46 +520,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    if opts.no_trace_store && opts.trace_store.is_some() {
-        eprintln!("error: '--no-trace-store' conflicts with '--trace-store'");
-        return ExitCode::from(2);
-    }
-    // The trace store rides along with the cache by default: --cache-dir D
-    // implies a store at D/traces, --trace-store overrides the location,
-    // --no-trace-store turns it off. cache-gc manages the store itself,
-    // so the engine skips attaching (and creating) it there.
-    let trace_dir = match (&opts.trace_store, &opts.cache_dir) {
-        _ if opts.no_trace_store => None,
-        _ if opts.target.as_deref() == Some("cache-gc") => None,
-        (Some(dir), _) => Some(std::path::PathBuf::from(dir)),
-        (None, Some(cache)) => Some(std::path::Path::new(cache).join("traces")),
-        (None, None) => None,
-    };
-    if let Some(dir) = trace_dir {
-        engine = match engine.with_trace_store(&dir) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!("error: cannot open trace store '{}': {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        };
-    }
-    // A peered worker pulls packed traces from its siblings on a
-    // trace-store miss before paying for regeneration; fetched bytes are
-    // validated and installed into the local store, so peering can only
-    // trade wall-clock, never results.
-    if opts.target.as_deref() == Some("serve") && opts.role.as_deref() == Some("worker") {
-        let store = engine.trace_store().cloned();
-        if let (Some(peers), Some(store)) = (&opts.peers, store) {
-            let siblings: Vec<String> = peers
-                .split(',')
-                .map(|peer| peer.trim().to_string())
-                .filter(|peer| !peer.is_empty())
-                .collect();
-            let store = store.clone();
-            engine = engine.with_peer_fetch(peer_fetch(siblings, store, Arc::clone(&recorder)));
-        }
-    }
     let engine = Arc::new(engine);
     Arc::clone(&engine).install();
 
@@ -724,10 +535,6 @@ fn main() -> ExitCode {
     );
     if opts.progress && !is_experiment_run {
         eprintln!("error: flag '--progress' only applies to experiment runs");
-        return ExitCode::from(2);
-    }
-    if opts.sampling.is_some() && !is_experiment_run {
-        eprintln!("error: flag '--sampling' only applies to experiment runs");
         return ExitCode::from(2);
     }
     let progress = opts

@@ -1,6 +1,5 @@
 //! Sharded serve fleet: a fingerprint-routed router in front of a pool
-//! of `repro serve` workers, plus the building blocks the workers use to
-//! peer their trace caches.
+//! of `repro serve` workers.
 //!
 //! ```text
 //!            POST /run/{exp}            POST /run/{exp}
@@ -16,7 +15,7 @@
 //! token bucket, picks a worker by rendezvous (highest-random-weight)
 //! hashing of the run's canonical fingerprint, and relays the worker's
 //! response byte-for-byte. Identical runs therefore always land on the
-//! same worker while it is alive — its memo table and trace store stay
+//! same worker while it is alive — its memo table and disk cache stay
 //! hot — and fail over deterministically to the next hash choice when it
 //! dies, failing back automatically when it returns (rendezvous hashing
 //! moves no other key in either direction).
@@ -30,18 +29,10 @@
 //! | POST | `/run/{exp}` | admission → rendezvous route → buffered relay |
 //! | POST | `/run/{exp}?stream=events` | admission → route → SSE byte-tunnel |
 //!
-//! Workers gain the peering side ([`peer_fetch`]): on a trace-store miss
-//! the engine asks the fleet's siblings for the packed trace
-//! (`GET /peer/trace/{key}`) before paying for regeneration. Peering is
-//! strictly best-effort: a fetched trace is re-validated before install,
-//! and any failure — unreachable sibling, truncated body, malformed
-//! bytes — degrades to local regeneration, never to an error.
-//!
 //! Failure injection for tests rides on the `HZN_FAULT` environment
-//! variable (see `FaultPlan`): `peer=drop`, `proxy=truncate`,
-//! `peer=delay:250`, comma-separated. Faults fire once per request on
-//! the first attempt, so the degradation paths (failover, local
-//! regeneration) are what gets exercised.
+//! variable (see `FaultPlan`): `proxy=drop`, `proxy=truncate` or
+//! `proxy=delay:250`. A fault fires once per request on the first
+//! attempt, so the degradation path (failover) is what gets exercised.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -50,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use horizon_engine::{Fingerprint, TraceKey, TraceReader, TraceStore};
+use horizon_engine::Fingerprint;
 use horizon_telemetry::Recorder;
 
 use serde::Value;
@@ -60,7 +51,6 @@ use crate::sched::RunKey;
 use crate::serve::{
     accept_until_shutdown, json_num, json_str, prepare_run, to_json, Pool, Saturated,
 };
-use horizon_core::campaign::SamplingPolicy;
 
 // ---------------------------------------------------------------------------
 // Rendezvous hashing
@@ -119,15 +109,9 @@ pub(crate) fn rendezvous_order(key: &str, nodes: &[String]) -> Vec<usize> {
 /// scheme. Two requests that would coalesce on a worker always produce
 /// the same routing key, so they always reach the same worker.
 pub(crate) fn route_key(key: &RunKey) -> String {
-    let sampling = match key.sampling {
-        SamplingPolicy::Exact => "exact".to_string(),
-        SamplingPolicy::SimPoint {
-            interval,
-            max_phases,
-        } => format!("simpoint:{interval}:{max_phases}"),
-    };
+    // The constant `sampling=exact` tail stays so that no run's shard moves.
     let canonical = format!(
-        "run;experiment={};quick={};instructions={:?};warmup={:?};seed={:?};sampling={sampling}",
+        "run;experiment={};quick={};instructions={:?};warmup={:?};seed={:?};sampling=exact",
         key.experiment, key.quick, key.instructions, key.warmup, key.seed,
     );
     Fingerprint::of_canonical(canonical.as_bytes())
@@ -198,14 +182,12 @@ pub(crate) enum FaultKind {
     Delay(u64),
 }
 
-/// The parsed `HZN_FAULT` plan: at most one fault per injection point.
-/// Syntax: comma-separated `point=kind` terms where point is `peer`
-/// (worker-to-worker trace fetch) or `proxy` (router-to-worker run
-/// relay) and kind is `drop`, `truncate` or `delay:<ms>`. Unknown terms
-/// are ignored — a fault plan must never break a production binary.
+/// The parsed `HZN_FAULT` plan. Syntax: comma-separated `point=kind`
+/// terms where the one point is `proxy` (router-to-worker run relay)
+/// and kind is `drop`, `truncate` or `delay:<ms>`. Unknown terms are
+/// ignored — a fault plan must never break a production binary.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FaultPlan {
-    pub(crate) peer: Option<FaultKind>,
     pub(crate) proxy: Option<FaultKind>,
 }
 
@@ -234,10 +216,8 @@ impl FaultPlan {
                 }
                 _ => continue,
             };
-            match point {
-                "peer" => plan.peer = Some(kind),
-                "proxy" => plan.proxy = Some(kind),
-                _ => {}
+            if point == "proxy" {
+                plan.proxy = Some(kind);
             }
         }
         plan
@@ -268,8 +248,8 @@ pub(crate) fn apply_fault(bytes: Vec<u8>, fault: Option<FaultKind>) -> Option<Ve
 // ---------------------------------------------------------------------------
 
 /// A parsed upstream response. `complete` is the watchdog the proxy
-/// fails over on: a `Content-Length` that disagrees with the body means
-/// the transfer was cut short.
+/// fails over on: a `Content-Length` that disagrees with the body, or
+/// does not parse, means the transfer cannot be trusted.
 pub(crate) struct WireResponse {
     pub(crate) status: u16,
     pub(crate) body: Vec<u8>,
@@ -289,17 +269,13 @@ pub(crate) fn parse_response(raw: &[u8]) -> Option<WireResponse> {
         return None;
     }
     let status: u16 = parts.next()?.parse().ok()?;
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().ok();
-        }
-    }
     let body = raw[head_end + 4..].to_vec();
-    let complete = content_length.is_none_or(|n| body.len() == n);
+    // Without a Content-Length the response is EOF-framed; with one (or
+    // several), every value must parse and match the body.
+    let complete = lines
+        .filter_map(|line| line.split_once(':'))
+        .filter(|(name, _)| name.trim().eq_ignore_ascii_case("content-length"))
+        .all(|(_, value)| value.trim().parse::<usize>().ok() == Some(body.len()));
     Some(WireResponse {
         status,
         body,
@@ -354,7 +330,7 @@ fn build_proxy_request(request: &Request) -> Vec<u8> {
     bytes
 }
 
-/// A GET with no body, for health polls, metric scrapes and trace pulls.
+/// A GET with no body, for health polls and metric scrapes.
 fn build_get(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nHost: cluster-peer\r\nConnection: close\r\n\r\n").into_bytes()
 }
@@ -393,66 +369,6 @@ pub(crate) fn inject_node_label(text: &str, node: &str) -> String {
         out.push('\n');
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Worker-side cache peering
-// ---------------------------------------------------------------------------
-
-/// How long a worker waits on a sibling for a packed trace. Short on
-/// purpose: past this, regenerating locally is the better bet.
-const PEER_FETCH_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Builds the engine's peer-fetch hook for a worker in a fleet: on a
-/// trace-store miss, ask each sibling in `peers` for the packed trace
-/// (`GET /peer/trace/{key}`), validate it, install it into the local
-/// `store`, and hand the engine the installed reader.
-///
-/// Every failure mode — unreachable sibling, non-200, short read,
-/// malformed bytes, injected fault — skips to the next sibling and
-/// ultimately returns `None`, which the engine treats as a plain miss
-/// (local regeneration). Peering can only ever trade wall-clock, never
-/// correctness: installed bytes are re-validated by the store, and the
-/// engine checks the trace length against the requested window.
-pub fn peer_fetch(
-    peers: Vec<String>,
-    store: TraceStore,
-    recorder: Arc<Recorder>,
-) -> impl Fn(&TraceKey) -> Option<TraceReader> + Send + Sync + 'static {
-    move |key| {
-        let mut fault = FaultPlan::from_env().peer;
-        for peer in &peers {
-            recorder.counter_add("cluster.peer_fetch_attempts", 1);
-            let request = build_get(&format!("/peer/trace/{}", key.as_str()));
-            let Ok(raw) = http_exchange(peer, &request, PEER_FETCH_TIMEOUT, PEER_FETCH_TIMEOUT)
-            else {
-                recorder.counter_add("cluster.peer_fetch_unreachable", 1);
-                continue;
-            };
-            let Some(response) = parse_response(&raw) else {
-                recorder.counter_add("cluster.peer_fetch_malformed", 1);
-                continue;
-            };
-            if response.status != 200 || !response.complete {
-                recorder.counter_add("cluster.peer_fetch_misses", 1);
-                continue;
-            }
-            let Some(body) = apply_fault(response.body, fault.take()) else {
-                recorder.counter_add("cluster.peer_fetch_faulted", 1);
-                continue;
-            };
-            match store.install_bytes(key, body) {
-                Some(reader) => {
-                    recorder.counter_add("cluster.peer_fetch_installed", 1);
-                    return Some(reader);
-                }
-                None => {
-                    recorder.counter_add("cluster.peer_fetch_rejected", 1);
-                }
-            }
-        }
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1165,7 +1081,6 @@ mod tests {
             instructions: None,
             warmup: None,
             seed: None,
-            sampling: SamplingPolicy::Exact,
         };
         let same = route_key(&base);
         assert_eq!(same, route_key(&base.clone()));
@@ -1190,17 +1105,24 @@ mod tests {
                 seed: Some(7),
                 ..base.clone()
             },
-            RunKey {
-                sampling: SamplingPolicy::SimPoint {
-                    interval: 100,
-                    max_phases: 4,
-                },
-                ..base.clone()
-            },
         ];
         for variant in variants {
             assert_ne!(same, route_key(&variant), "{variant:?} collided");
         }
+    }
+
+    /// A fleet's shard assignment follows from these digests; a drift in
+    /// the canonical string would re-shard every fleet.
+    #[test]
+    fn route_key_is_pinned() {
+        let warm = RunKey {
+            experiment: "table1",
+            quick: false,
+            instructions: None,
+            warmup: None,
+            seed: None,
+        };
+        assert_eq!(route_key(&warm), "c94cc08d31e3fcce758ab6fb0e346bbe");
     }
 
     proptest! {
@@ -1307,24 +1229,22 @@ mod tests {
     fn fault_plan_parses_points_and_kinds() {
         assert_eq!(FaultPlan::parse(""), FaultPlan::default());
         assert_eq!(
-            FaultPlan::parse("peer=drop"),
+            FaultPlan::parse("proxy=truncate"),
             FaultPlan {
-                peer: Some(FaultKind::Drop),
-                proxy: None
-            }
-        );
-        assert_eq!(
-            FaultPlan::parse("proxy=truncate, peer=delay:250"),
-            FaultPlan {
-                peer: Some(FaultKind::Delay(250)),
                 proxy: Some(FaultKind::Truncate)
             }
         );
-        // Garbage terms are ignored, valid ones still land.
         assert_eq!(
-            FaultPlan::parse("bogus,peer=explode,proxy=drop,peer=delay:x"),
+            FaultPlan::parse(" proxy=delay:250"),
             FaultPlan {
-                peer: None,
+                proxy: Some(FaultKind::Delay(250))
+            }
+        );
+        // Unknown points (such as `peer`) and garbage terms are ignored;
+        // valid ones still land.
+        assert_eq!(
+            FaultPlan::parse("bogus,peer=drop,proxy=drop,proxy=delay:x"),
+            FaultPlan {
                 proxy: Some(FaultKind::Drop)
             }
         );
@@ -1366,6 +1286,11 @@ mod tests {
         assert_eq!(delayed.body, b"hello");
     }
 
+    /// Any byte.
+    fn byte() -> impl Strategy<Value = u8> {
+        (0u32..256).prop_map(|b| b as u8)
+    }
+
     #[test]
     fn parse_response_flags_short_bodies() {
         let whole = b"HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\nabc";
@@ -1376,6 +1301,66 @@ mod tests {
         assert!(!parse_response(short).expect("parses").complete);
         assert!(parse_response(b"garbage").is_none());
         assert!(parse_response(b"HTTP/1.1 200 OK\r\n\r\n").is_some());
+    }
+
+    /// A response framed by `Content-Length: {declared}` around `body`.
+    fn response_wire(status: u16, declared: &str, body: &[u8]) -> Vec<u8> {
+        let mut wire = format!(
+            "HTTP/1.1 {status} Whatever\r\nContent-Length: {declared}\r\nConnection: close\r\n\r\n"
+        )
+        .into_bytes();
+        wire.extend_from_slice(body);
+        wire
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the response parser.
+        #[test]
+        fn parse_response_never_panics(
+            bytes in proptest::collection::vec(byte(), 0..=4096),
+        ) {
+            let _ = parse_response(&bytes);
+        }
+
+        /// A well-formed response parses whole and complete. None of its
+        /// prefixes panics, and none passes as complete.
+        #[test]
+        fn response_prefixes_are_never_complete(
+            status in 100u32..600,
+            body in proptest::collection::vec(byte(), 0..=64),
+        ) {
+            let wire = response_wire(status as u16, &body.len().to_string(), &body);
+            let whole = parse_response(&wire).expect("a well-formed response parses");
+            prop_assert!(whole.complete);
+            prop_assert_eq!(whole.status, status as u16);
+            prop_assert_eq!(&whole.body, &body);
+            for end in 0..wire.len() {
+                if let Some(partial) = parse_response(&wire[..end]) {
+                    prop_assert!(!partial.complete, "prefix of {} bytes is complete", end);
+                }
+            }
+        }
+
+        /// A body that disagrees with its Content-Length is never
+        /// complete, including when the Content-Length does not parse.
+        #[test]
+        fn mismatched_content_lengths_are_never_complete(
+            body in proptest::collection::vec(byte(), 0..=64),
+            declared in prop_oneof![
+                (0usize..128).prop_map(|n| n.to_string()),
+                "[a-z]{1,8}",
+                Just(String::new()),
+                Just("-1".to_string()),
+                Just("1e3".to_string()),
+            ],
+        ) {
+            prop_assume!(declared.parse::<usize>().ok() != Some(body.len()));
+            let parsed = parse_response(&response_wire(200, &declared, &body))
+                .expect("the head is well-formed");
+            prop_assert!(!parsed.complete, "Content-Length '{}' passed", declared);
+        }
     }
 
     #[test]

@@ -362,17 +362,6 @@ impl Response {
         }
     }
 
-    /// A binary response (used by the cluster peer-trace endpoint, which
-    /// ships packed trace files between sibling stores).
-    pub fn bytes(status: u16, body: Vec<u8>) -> Self {
-        Response {
-            status,
-            content_type: "application/octet-stream",
-            extra_headers: Vec::new(),
-            body,
-        }
-    }
-
     /// A JSON error body `{"error": "..."}` for the given status.
     pub fn error(status: u16, message: &str) -> Self {
         let quoted =
@@ -498,6 +487,7 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     fn parse(input: &[u8]) -> Result<Request, HttpError> {
@@ -818,5 +808,127 @@ mod tests {
         let resp = Response::error(400, "bad \"quote\"");
         let body = String::from_utf8(resp.body).unwrap();
         assert_eq!(body, "{\"error\":\"bad \\\"quote\\\"\"}");
+    }
+
+    /// Limits small enough that generated requests cross every cap.
+    const SMALL: Limits = Limits {
+        max_request_line: 64,
+        max_header_bytes: 128,
+        max_headers: 4,
+        max_body_bytes: 32,
+    };
+
+    fn parse_small(input: &[u8]) -> Result<Request, HttpError> {
+        read_request(&mut Cursor::new(input.to_vec()), &SMALL)
+    }
+
+    /// The wire bytes of a request with the given path, headers and body
+    /// (framed by an exact `Content-Length`).
+    fn wire(path: &str, headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
+        let mut head = format!("POST /{path} HTTP/1.1\r\n");
+        for (name, value) in headers {
+            head.push_str(&format!("x-{name}: {value}\r\n"));
+        }
+        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body);
+        wire
+    }
+
+    /// Any byte.
+    fn byte() -> impl Strategy<Value = u8> {
+        (0u32..256).prop_map(|b| b as u8)
+    }
+
+    /// A request inside every [`SMALL`] limit: a short path, at most two
+    /// short headers besides `Content-Length`, and a body of at most 32
+    /// bytes.
+    fn arb_request() -> impl Strategy<Value = (Vec<u8>, usize)> {
+        (
+            "[a-z/]{0,16}",
+            proptest::collection::vec(("[a-z]{1,8}", "[a-z0-9 ]{0,16}"), 0..3),
+            proptest::collection::vec(byte(), 0..=32),
+        )
+            .prop_map(|(path, headers, body)| (wire(&path, &headers, &body), body.len()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the parser: they either parse or
+        /// map to an error status, under default and small limits alike.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(byte(), 0..=4096),
+        ) {
+            for limits in [Limits::default(), SMALL] {
+                if let Err(e) = read_request(&mut Cursor::new(bytes.clone()), &limits) {
+                    prop_assert!((400..600).contains(&e.status), "{e}");
+                }
+            }
+        }
+
+        /// A well-formed request parses whole, and none of its prefixes
+        /// panics. A prefix that cuts the body is a 400.
+        #[test]
+        fn every_prefix_of_a_request_is_handled((wire, body_len) in arb_request()) {
+            let whole = parse_small(&wire).expect("a request inside the limits parses");
+            prop_assert_eq!(whole.body.len(), body_len);
+            let head_len = wire.len() - body_len;
+            for end in 0..wire.len() {
+                let result = parse_small(&wire[..end]);
+                if end >= head_len {
+                    let status = result.as_ref().map(|_| 200).unwrap_or_else(|e| e.status);
+                    prop_assert_eq!(status, 400, "prefix of {} bytes", end);
+                } else if let Err(e) = result {
+                    prop_assert!((400..600).contains(&e.status), "{e}");
+                }
+            }
+        }
+
+        /// A request line longer than its limit is 431.
+        #[test]
+        fn long_request_lines_are_431(path in "[a-z]{60,200}") {
+            let err = parse_small(&wire(&path, &[], b"")).unwrap_err();
+            prop_assert_eq!(err.status, 431);
+        }
+
+        /// A header line longer than the header limit is 431.
+        #[test]
+        fn long_header_lines_are_431(value in "[a-z0-9]{129,400}") {
+            let headers = [("long".to_string(), value)];
+            let err = parse_small(&wire("x", &headers, b"")).unwrap_err();
+            prop_assert_eq!(err.status, 431);
+        }
+
+        /// More headers than the limit is 431, however short each one is.
+        #[test]
+        fn too_many_headers_are_431(
+            headers in proptest::collection::vec(("[a-z]{1,4}", "[a-z0-9]{0,4}"), 4..12),
+        ) {
+            let err = parse_small(&wire("x", &headers, b"")).unwrap_err();
+            prop_assert_eq!(err.status, 431);
+        }
+
+        /// A Content-Length above the body limit is 413, before any body
+        /// byte is read.
+        #[test]
+        fn oversized_content_lengths_are_413(length in 33usize..1_000_000) {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            let err = parse_small(raw.as_bytes()).unwrap_err();
+            prop_assert_eq!(err.status, 413);
+        }
+
+        /// A body shorter than its Content-Length is 400.
+        #[test]
+        fn short_bodies_are_400(
+            (length, sent) in (1usize..=32).prop_flat_map(|n| (Just(n), 0..n)),
+        ) {
+            let mut raw = format!("POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n")
+                .into_bytes();
+            raw.extend(std::iter::repeat_n(b'a', sent));
+            let err = parse_small(&raw).unwrap_err();
+            prop_assert_eq!(err.status, 400);
+        }
     }
 }

@@ -79,7 +79,6 @@ impl ReproConfig {
                 instructions: 15_000,
                 warmup: 5_000,
                 seed: 42,
-                ..Campaign::default()
             },
             machines: vec![MachineConfig::skylake_i7_6700(), MachineConfig::sparc_t4()],
         }

@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use horizon_core::campaign::SamplingPolicy;
 use horizon_engine::Engine;
 use horizon_telemetry::Recorder;
 
@@ -79,10 +78,6 @@ pub(crate) struct RunKey {
     pub warmup: Option<u64>,
     /// Seed override.
     pub seed: Option<u64>,
-    /// Resolved sampling policy (an explicit `"sampling": "exact"` and an
-    /// omitted option are the same run, so the key stores the resolved
-    /// policy rather than the raw request option).
-    pub sampling: SamplingPolicy,
 }
 
 /// What a finished run hands every waiter (leader and coalesced alike).
@@ -422,7 +417,6 @@ mod tests {
             instructions: Some(15_000),
             warmup: Some(5_000),
             seed: Some(42),
-            sampling: SamplingPolicy::Exact,
         }
     }
 

@@ -16,9 +16,8 @@
 //! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
 //! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
-//! | `POST /cache/gc` | LRU-prune the on-disk cache and trace store ([`horizon_engine::GcReport`] JSON; `max_entries` / `max_trace_bytes` body options) |
-//! | `GET /peer/health` | cluster liveness view: load, queue depth, memo/trace-store sizes (polled by a [`crate::cluster`] router) |
-//! | `GET /peer/trace/{key}` | a packed trace's raw bytes by content address, for sibling cache peering |
+//! | `POST /cache/gc` | LRU-prune the on-disk cache ([`horizon_engine::GcReport`] JSON; `max_entries` body option) |
+//! | `GET /peer/health` | cluster liveness view: load, queue depth, memo size (polled by a [`crate::cluster`] router) |
 //!
 //! # Reports
 //!
@@ -39,7 +38,7 @@
 //! `text/event-stream`: a `start` event (run id, coalescing, an ETA hint
 //! from [`Experiment::weight`](crate::Experiment) scaled by observed
 //! cost), then live `phase_enter`/`phase_exit`, `progress` (jobs
-//! done/total, memo + trace-store hit counts, elapsed-based ETA) and
+//! done/total, memo and disk hit counts, elapsed-based ETA) and
 //! `counter` events filtered to exactly this run off the recorder's
 //! [`horizon_telemetry::EventBus`], and finally one `report` event whose
 //! payload is **byte-equivalent** to the non-streaming JSON response
@@ -96,10 +95,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use horizon_core::campaign::SamplingPolicy;
 use horizon_core::report_v1::ReportV1;
 use horizon_engine::Engine;
-use horizon_simpoint::SimPointConfig;
 use horizon_telemetry::{EventKind, Recorder, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY};
 
 use serde::Value;
@@ -668,7 +665,6 @@ fn route_label(request: &Request) -> &'static str {
         "/cache/gc" => "cache_gc",
         "/events" => "events",
         "/peer/health" => "peer_health",
-        _ if path.starts_with("/peer/trace/") => "peer_trace",
         _ if path.starts_with("/run/") => "run",
         _ => "other",
     }
@@ -735,9 +731,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         ("GET", "/experiments") => experiments(),
         ("GET", "/metrics") => Response::text(200, state.recorder.prometheus_text()),
         ("GET", "/peer/health") => peer_health(state),
-        ("GET", trace_path) if trace_path.starts_with("/peer/trace/") => {
-            peer_trace(state, &trace_path["/peer/trace/".len()..])
-        }
         ("POST", "/cache/gc") => cache_gc(state, request),
         ("POST", run_path) if run_path.starts_with("/run/") => {
             run(state, &run_path["/run/".len()..], request)
@@ -745,9 +738,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         // `GET /events` never reaches this table — `stream_kind`
         // intercepts it — so any `/events` seen here is a bad method.
         (_, "/healthz" | "/experiments" | "/metrics" | "/events" | "/peer/health") => {
-            Response::error(405, "method not allowed").with_header("Allow", "GET")
-        }
-        (_, trace_path) if trace_path.starts_with("/peer/trace/") => {
             Response::error(405, "method not allowed").with_header("Allow", "GET")
         }
         (_, "/cache/gc") => Response::error(405, "method not allowed").with_header("Allow", "POST"),
@@ -801,19 +791,10 @@ fn healthz(state: &ServerState) -> Response {
 }
 
 /// `GET /peer/health`: the compact liveness view a cluster router polls —
-/// current load (queued + executing runs), accept-queue depth, and warm
-/// cache sizes, so routing and failover decisions can weigh how hot this
-/// node is for its keys.
+/// current load (queued + executing runs), accept-queue depth, and the
+/// warm memo size, so routing and failover decisions can weigh how hot
+/// this node is for its keys.
 fn peer_health(state: &ServerState) -> Response {
-    let (trace_entries, trace_bytes) = state
-        .engine
-        .trace_store()
-        .and_then(|store| store.index().ok())
-        .map(|index| {
-            let bytes: u64 = index.iter().map(|e| e.bytes).sum();
-            (index.len() as u64, bytes)
-        })
-        .unwrap_or((0, 0));
     let body = Value::Map(vec![
         ("role".into(), json_str("worker")),
         ("load".into(), json_num(state.sched.pending())),
@@ -822,38 +803,12 @@ fn peer_health(state: &ServerState) -> Response {
             json_num(state.queue_depth.load(Ordering::SeqCst)),
         ),
         ("memo_entries".into(), json_num(state.engine.memo_entries())),
-        ("trace_entries".into(), json_num(trace_entries)),
-        ("trace_bytes".into(), json_num(trace_bytes)),
         (
             "uptime_ms".into(),
             json_num(state.started.elapsed().as_millis()),
         ),
     ]);
     Response::json(200, to_json(&body))
-}
-
-/// `GET /peer/trace/{key}`: a packed trace's raw, pre-validated bytes by
-/// content address — the cache-peering read path a sibling worker hits on
-/// a trace-store miss before regenerating. The key must be a well-formed
-/// 32-hex-digit digest (anything else is 404, and never touches the
-/// filesystem); a daemon without a trace store has nothing to share.
-fn peer_trace(state: &ServerState, raw_key: &str) -> Response {
-    let Some(key) = horizon_engine::TraceKey::from_digest(raw_key) else {
-        return Response::error(404, "malformed trace key");
-    };
-    let Some(store) = state.engine.trace_store() else {
-        return Response::error(404, "no trace store configured for this daemon");
-    };
-    match store.load_bytes(&key) {
-        Some(bytes) => {
-            state
-                .recorder
-                .counter_add("tracestore.peer_served_bytes", bytes.len() as u64);
-            state.recorder.counter_add("tracestore.peer_served", 1);
-            Response::bytes(200, bytes)
-        }
-        None => Response::error(404, &format!("no trace stored under '{raw_key}'")),
-    }
 }
 
 /// `GET /experiments`: the registry as JSON. Crate-visible: the cluster
@@ -875,54 +830,31 @@ pub(crate) fn experiments() -> Response {
     Response::json(200, to_json(&Value::Seq(list)))
 }
 
-/// `POST /cache/gc`: LRU-prune the daemon's disk cache and trace store.
+/// `POST /cache/gc`: LRU-prune the daemon's disk cache.
 fn cache_gc(state: &ServerState, request: &Request) -> Response {
-    let (cache, traces) = (state.engine.cache(), state.engine.trace_store());
-    if cache.is_none() && traces.is_none() {
+    let Some(cache) = state.engine.cache() else {
         return Response::error(409, "no --cache-dir configured for this daemon");
-    }
-    let opts = match parse_gc_options(request) {
-        Ok(opts) => opts,
+    };
+    let max_entries = match parse_gc_max_entries(request) {
+        Ok(max_entries) => max_entries,
         Err(e) => return Response::error(e.status, &e.message),
     };
-    let mut report = horizon_engine::GcReport::default();
-    if let Some(cache) = cache {
-        report = match cache.gc(opts.max_entries) {
-            Ok(report) => report,
-            Err(e) => return Response::error(500, &format!("cache gc failed: {e}")),
-        };
-    }
-    if let Some(store) = traces {
-        match store.gc(opts.max_trace_bytes) {
-            Ok(trace) => report.absorb_trace(&trace),
-            Err(e) => return Response::error(500, &format!("trace gc failed: {e}")),
-        }
-    }
+    let report = match cache.gc(max_entries) {
+        Ok(report) => report,
+        Err(e) => return Response::error(500, &format!("cache gc failed: {e}")),
+    };
     match serde_json::to_string(&report) {
         Ok(body) => Response::json(200, body),
         Err(e) => Response::error(500, &format!("cannot serialize gc report: {e}")),
     }
 }
 
-struct GcOptions {
-    max_entries: usize,
-    max_trace_bytes: u64,
-}
-
-impl Default for GcOptions {
-    fn default() -> Self {
-        GcOptions {
-            max_entries: 1024,
-            // Mirrors the CLI's `cache-gc --max-trace-bytes` default.
-            max_trace_bytes: 256 << 20,
-        }
-    }
-}
-
-fn parse_gc_options(request: &Request) -> Result<GcOptions, HttpError> {
-    let mut opts = GcOptions::default();
+/// The `max_entries` option of a `POST /cache/gc` body (default 1024, as
+/// the CLI's `cache-gc`); any other key is rejected.
+fn parse_gc_max_entries(request: &Request) -> Result<usize, HttpError> {
+    let mut max_entries = 1024;
     if request.body.is_empty() {
-        return Ok(opts);
+        return Ok(max_entries);
     }
     let value: Value = serde_json::from_str(request.body_str()?)
         .map_err(|e| HttpError::new(400, format!("invalid JSON body: {e}")))?;
@@ -931,18 +863,13 @@ fn parse_gc_options(request: &Request) -> Result<GcOptions, HttpError> {
     };
     for (key, value) in &entries {
         match key.as_str() {
-            "max_entries" => {
-                opts.max_entries = parse_u64(value, "max_entries")? as usize;
-            }
-            "max_trace_bytes" => {
-                opts.max_trace_bytes = parse_u64(value, "max_trace_bytes")?;
-            }
+            "max_entries" => max_entries = parse_u64(value, "max_entries")? as usize,
             other => {
                 return Err(HttpError::new(400, format!("unknown option '{other}'")));
             }
         }
     }
-    Ok(opts)
+    Ok(max_entries)
 }
 
 /// Per-request run options, mirroring the batch CLI flags.
@@ -953,7 +880,6 @@ pub(crate) struct RunOptions {
     pub(crate) seed: Option<u64>,
     pub(crate) jobs: Option<usize>,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) sampling: Option<SamplingPolicy>,
 }
 
 fn parse_u64(value: &Value, key: &str) -> Result<u64, HttpError> {
@@ -972,14 +898,10 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
         seed: None,
         jobs: None,
         deadline: None,
-        sampling: None,
     };
     if request.body.is_empty() {
         return Ok(opts);
     }
-    let mut sampling_mode: Option<String> = None;
-    let mut sampling_interval: Option<u64> = None;
-    let mut sampling_max_phases: Option<u64> = None;
     let value: Value = serde_json::from_str(request.body_str()?)
         .map_err(|e| HttpError::new(400, format!("invalid JSON body: {e}")))?;
     let Value::Map(entries) = value else {
@@ -1017,57 +939,9 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
                 }
                 opts.deadline = Some(Duration::from_millis(ms));
             }
-            "sampling" => {
-                let mode = String::from_value(value)
-                    .map_err(|e| HttpError::new(400, format!("option 'sampling': {e}")))?;
-                if mode != "exact" && mode != "simpoint" {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling' must be 'exact' or 'simpoint'",
-                    ));
-                }
-                sampling_mode = Some(mode);
-            }
-            "sampling_interval" => {
-                let n = parse_u64(value, "sampling_interval")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling_interval' must be positive",
-                    ));
-                }
-                sampling_interval = Some(n);
-            }
-            "sampling_max_phases" => {
-                let n = parse_u64(value, "sampling_max_phases")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'sampling_max_phases' must be positive",
-                    ));
-                }
-                sampling_max_phases = Some(n);
-            }
             other => {
                 return Err(HttpError::new(400, format!("unknown option '{other}'")));
             }
-        }
-    }
-    if sampling_mode.as_deref() == Some("simpoint") {
-        opts.sampling = Some(SamplingPolicy::SimPoint {
-            interval: sampling_interval.unwrap_or(SimPointConfig::DEFAULT_INTERVAL),
-            max_phases: sampling_max_phases.unwrap_or(SimPointConfig::DEFAULT_MAX_PHASES),
-        });
-    } else {
-        if sampling_interval.is_some() || sampling_max_phases.is_some() {
-            return Err(HttpError::new(
-                400,
-                "options 'sampling_interval' and 'sampling_max_phases' require \
-                 \"sampling\": \"simpoint\"",
-            ));
-        }
-        if sampling_mode.is_some() {
-            opts.sampling = Some(SamplingPolicy::Exact);
         }
     }
     Ok(opts)
@@ -1121,9 +995,6 @@ pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, 
     if let Some(seed) = opts.seed {
         cfg.campaign.seed = seed;
     }
-    if let Some(sampling) = opts.sampling {
-        cfg.campaign.sampling = sampling;
-    }
 
     let key = RunKey {
         experiment: experiment.id,
@@ -1131,7 +1002,6 @@ pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, 
         instructions: opts.instructions,
         warmup: opts.warmup,
         seed: opts.seed,
-        sampling: cfg.campaign.sampling,
     };
     let cost = crate::sched::estimated_cost(experiment, &cfg);
     Ok(PreparedRun {
@@ -1407,7 +1277,6 @@ struct StreamProgress {
     started: Instant,
     memo_hits: u64,
     disk_hits: u64,
-    trace_hits: u64,
 }
 
 impl StreamProgress {
@@ -1417,7 +1286,6 @@ impl StreamProgress {
             started,
             memo_hits: 0,
             disk_hits: 0,
-            trace_hits: 0,
         }
     }
 
@@ -1436,7 +1304,6 @@ impl StreamProgress {
                 match *name {
                     "engine.memo_hits" => self.memo_hits += delta,
                     "engine.disk_hits" => self.disk_hits += delta,
-                    "tracestore.hits" => self.trace_hits += delta,
                     _ => {}
                 }
                 Some(sse_frame("counter", &event.to_json()))
@@ -1456,7 +1323,6 @@ impl StreamProgress {
                     ("cached".into(), Value::Bool(*cached)),
                     ("memo_hits".into(), json_num(self.memo_hits)),
                     ("disk_hits".into(), json_num(self.disk_hits)),
-                    ("tracestore_hits".into(), json_num(self.trace_hits)),
                     ("elapsed_ms".into(), json_num(elapsed_ms)),
                 ];
                 if *completed > 0 && total > completed {
@@ -1856,10 +1722,21 @@ mod tests {
         let bad_body = "POST /run/table1 HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\nnot json!";
         let bad = request(addr, bad_body);
         assert!(bad.starts_with("HTTP/1.1 400 "), "{bad}");
-        let unknown_opt =
-            "POST /run/table1 HTTP/1.1\r\nHost: x\r\nContent-Length: 13\r\n\r\n{\"typo\":true}";
-        let unknown = request(addr, unknown_opt);
-        assert!(unknown.starts_with("HTTP/1.1 400 "), "{unknown}");
+        for option in [
+            "{\"typo\":true}",
+            "{\"sampling\":\"simpoint\"}",
+            "{\"sampling_interval\":5000}",
+        ] {
+            let unknown = request(
+                addr,
+                &format!(
+                    "POST /run/table1 HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{option}",
+                    option.len()
+                ),
+            );
+            assert!(unknown.starts_with("HTTP/1.1 400 "), "{unknown}");
+            assert!(unknown.contains("unknown option"), "{unknown}");
+        }
         let bad_format = request(
             addr,
             "POST /run/table1?format=xml HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
@@ -1869,5 +1746,21 @@ mod tests {
 
         shutdown.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("clean exit");
+    }
+
+    #[test]
+    fn gc_options_accept_only_max_entries() {
+        let gc = |body: &str| Request {
+            method: "POST".into(),
+            path: "/cache/gc".into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: false,
+        };
+        assert_eq!(parse_gc_max_entries(&gc("")).unwrap(), 1024);
+        assert_eq!(parse_gc_max_entries(&gc("{\"max_entries\":5}")).unwrap(), 5);
+        let err = parse_gc_max_entries(&gc("{\"max_trace_bytes\":1}")).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("unknown option"), "{}", err.message);
     }
 }

@@ -1,10 +1,9 @@
 //! End-to-end tests of the sharded serve fleet: a fingerprint-routing
 //! router in front of worker daemons. Covers deterministic routing
 //! (identical runs land on one worker), failover when a worker dies,
-//! failback when it returns, trace-cache peering between workers,
-//! token-bucket admission control, fault-injected degradation, and the
-//! router's local endpoints (healthz, experiments, aggregated metrics,
-//! SSE tunnel).
+//! failback when it returns, token-bucket admission control,
+//! fault-injected degradation, and the router's local endpoints
+//! (healthz, experiments, aggregated metrics, SSE tunnel).
 
 #![cfg(unix)]
 
@@ -363,91 +362,12 @@ fn suspended_worker_fails_over_and_gets_its_keys_back() {
 }
 
 #[test]
-fn peered_workers_pull_packed_traces_instead_of_regenerating() {
-    let dir = scratch_dir("peering");
-    let cache_a = dir.join("a");
-    let cache_b = dir.join("b");
-
-    // Worker A runs cold and fills its trace store.
-    let worker_a = Daemon::spawn(&["--cache-dir", cache_a.to_str().unwrap()], &[]);
-    let (status, text_a) = worker_a.post("/run/table1?format=text", QUICK_RUN);
-    assert_eq!(status, 200, "{text_a}");
-    let (_, health) = worker_a.get("/peer/health");
-    let health = json(&health);
-    assert_eq!(str_field(&health, "role"), "worker");
-    assert!(
-        num_field(&health, "trace_entries") > 0,
-        "worker A stored no traces: {health:?}"
-    );
-
-    // Worker B peers with A: its cold run pulls A's packed traces over
-    // `GET /peer/trace/{key}` instead of regenerating them.
-    let worker_b = Daemon::spawn(
-        &[
-            "--cache-dir",
-            cache_b.to_str().unwrap(),
-            "--role",
-            "worker",
-            "--peers",
-            &worker_a.addr,
-        ],
-        &[],
-    );
-    let (status, text_b) = worker_b.post("/run/table1?format=text", QUICK_RUN);
-    assert_eq!(status, 200, "{text_b}");
-    assert_eq!(text_a, text_b, "peered trace replay changed the report");
-
-    let (_, metrics_b) = worker_b.get("/metrics");
-    assert!(
-        prometheus_counter(&metrics_b, "horizon_tracestore_peer_hits") > 0,
-        "worker B never used a peered trace:\n{metrics_b}"
-    );
-    assert!(
-        prometheus_counter(&metrics_b, "horizon_cluster_peer_fetch_installed") > 0,
-        "{metrics_b}"
-    );
-    let (_, metrics_a) = worker_a.get("/metrics");
-    assert!(
-        prometheus_counter(&metrics_a, "horizon_tracestore_peer_served") > 0,
-        "worker A never served a peer:\n{metrics_a}"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn injected_faults_degrade_to_regeneration_and_failover_never_5xx() {
+fn injected_proxy_faults_fail_over_and_never_5xx() {
     let dir = scratch_dir("faults");
-
-    // Peer-fetch fault: worker B's pulls from A drop on the floor. The
-    // run must still answer 200 by regenerating locally.
     let worker_a = Daemon::spawn(&["--cache-dir", dir.join("a").to_str().unwrap()], &[]);
     let (status, text_a) = worker_a.post("/run/table1?format=text", QUICK_RUN);
     assert_eq!(status, 200, "{text_a}");
-    let worker_b = Daemon::spawn(
-        &[
-            "--cache-dir",
-            dir.join("b").to_str().unwrap(),
-            "--role",
-            "worker",
-            "--peers",
-            &worker_a.addr,
-        ],
-        &[("HZN_FAULT", "peer=drop")],
-    );
-    let (status, text_b) = worker_b.post("/run/table1?format=text", QUICK_RUN);
-    assert_eq!(status, 200, "faulted peer fetch broke the run: {text_b}");
-    assert_eq!(text_a, text_b, "local regeneration changed the report");
-    let (_, metrics_b) = worker_b.get("/metrics");
-    assert!(
-        prometheus_counter(&metrics_b, "horizon_cluster_peer_fetch_faulted") > 0,
-        "fault never fired:\n{metrics_b}"
-    );
-    assert_eq!(
-        prometheus_counter(&metrics_b, "horizon_tracestore_peer_hits"),
-        0,
-        "dropped fetches cannot count as peer hits:\n{metrics_b}"
-    );
+    let worker_b = Daemon::spawn(&["--cache-dir", dir.join("b").to_str().unwrap()], &[]);
 
     // Proxy fault: the router truncates the first upstream response of
     // each run. With a second worker alive, the client still sees 200 —
@@ -686,8 +606,7 @@ fn cluster_flag_validation_fails_loudly() {
             "--rate-limit",
             "3",
         ],
-        // A peered worker without a trace store has nowhere to install
-        // fetched traces.
+        // Only a router takes peers.
         &["serve", "--role", "worker", "--peers", "127.0.0.1:1"],
         // Cluster flags are serve-only.
         &["table1", "--quick", "--role", "worker"],

@@ -348,24 +348,28 @@ fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    // Firehose: `?limit=N` closes the stream after N events. Trigger a
-    // run from a second connection so events actually flow.
+    // Firehose: `?limit=N` closes the stream after N events. Subscribe
+    // first, then trigger a run so events actually flow: a run whose
+    // cells are already memoized can finish before a racing subscription
+    // registers, and the firehose would then wait forever.
     let addr = daemon.addr.clone();
-    let trigger = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        let body = "{\"quick\":true}";
-        let raw = format!(
-            "POST /run/table1 HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
+    let firehose = std::thread::spawn(move || stream_request(&addr, "GET", "/events?limit=3", ""));
+    let start = Instant::now();
+    loop {
+        let (_, health) = daemon.get("/healthz");
+        let health: Value = serde_json::from_str(&health).expect("healthz is JSON");
+        if num_field(&health, "event_subscribers") >= 1 {
+            break;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "firehose never subscribed: {health:?}"
         );
-        stream.write_all(raw.as_bytes()).expect("send request");
-        let mut sink = String::new();
-        let _ = stream.read_to_string(&mut sink);
-    });
-    let (status, body) = stream_request(&daemon.addr, "GET", "/events?limit=3", "");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (status, body) = daemon.post("/run/table1", "{\"quick\":true}");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = firehose.join().expect("firehose reader");
     assert_eq!(status, 200, "{body}");
     let events: Vec<_> = parse_sse(&body);
     assert_eq!(events.len(), 3, "firehose must close after limit: {body}");
@@ -373,7 +377,6 @@ fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
         let parsed: Value = serde_json::from_str(data).expect("firehose data is JSON");
         assert!(parsed.field("seq").is_ok(), "{data}");
     }
-    trigger.join().expect("trigger run finished");
 
     let (status, body) = stream_request(&daemon.addr, "GET", "/events?limit=zero", "");
     assert_eq!(status, 400, "{body}");

@@ -12,9 +12,7 @@
 //! * [`Dendrogram::cut_at`] / [`Dendrogram::cut_into`] — flat clusterings,
 //! * [`select_representatives`] — one medoid-style exemplar per cluster,
 //! * [`cophenetic_matrix`] / [`cophenetic_correlation`] — linkage quality,
-//! * [`render_ascii`] — a terminal dendrogram like the paper's Figures 2–4,
-//! * [`kmeans`] — deterministic Lloyd k-means, used by `horizon-simpoint`
-//!   to cluster trace intervals into phases.
+//! * [`render_ascii`] — a terminal dendrogram like the paper's Figures 2–4.
 //!
 //! # Example
 //!
@@ -39,7 +37,6 @@ mod agglomerative;
 mod cophenetic;
 mod dendrogram;
 mod error;
-mod kmeans;
 mod linkage;
 mod render;
 mod representative;
@@ -49,7 +46,6 @@ pub use agglomerative::cluster;
 pub use cophenetic::{cophenetic_correlation, cophenetic_matrix};
 pub use dendrogram::{Dendrogram, Merge};
 pub use error::ClusterError;
-pub use kmeans::{kmeans, KMeans};
 pub use linkage::Linkage;
 pub use render::{render_ascii, RenderOptions};
 pub use representative::{select_representatives, Representative};

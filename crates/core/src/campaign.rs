@@ -4,8 +4,7 @@
 //! hardware-counter readouts plus power estimates — the stand-in for the
 //! paper's perf-counter experiments on seven physical systems.
 
-use horizon_simpoint::SimPointConfig;
-use horizon_trace::{TraceGenerator, WorkloadProfile};
+use horizon_trace::WorkloadProfile;
 use horizon_uarch::{
     CoreSimulator, Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport,
 };
@@ -58,55 +57,7 @@ pub struct Measurement {
     pub power: PowerReport,
 }
 
-/// How a campaign turns its window into counters: exact full-window
-/// simulation (the default, bit-reproducible) or SimPoint-style phase
-/// sampling (approximate, bounded by a measured error budget).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SamplingPolicy {
-    /// Simulate every instruction of the window. Results are bit-exact.
-    #[default]
-    Exact,
-    /// Fingerprint fixed-size intervals, cluster them, and simulate only
-    /// per-cluster representatives (see `horizon-simpoint`). Counters are
-    /// reconstructed as weighted sums and carry a small, measured error.
-    SimPoint {
-        /// Instructions per fingerprinted interval.
-        interval: u64,
-        /// Cluster budget (a short tail interval may add one phase).
-        max_phases: u64,
-    },
-}
-
-impl SamplingPolicy {
-    /// The SimPoint policy with the `horizon-simpoint` default knobs.
-    pub fn simpoint_default() -> Self {
-        SamplingPolicy::SimPoint {
-            interval: SimPointConfig::DEFAULT_INTERVAL,
-            max_phases: SimPointConfig::DEFAULT_MAX_PHASES,
-        }
-    }
-
-    /// True for any non-exact policy.
-    pub fn is_sampled(&self) -> bool {
-        *self != SamplingPolicy::Exact
-    }
-
-    fn simpoint_config(&self) -> Option<SimPointConfig> {
-        match *self {
-            SamplingPolicy::Exact => None,
-            SamplingPolicy::SimPoint {
-                interval,
-                max_phases,
-            } => Some(SimPointConfig {
-                interval,
-                max_phases,
-            }),
-        }
-    }
-}
-
-/// Campaign configuration: simulation window, warmup, seed and sampling
-/// policy.
+/// Campaign configuration: simulation window, warmup and seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Campaign {
     /// Measured instructions per run.
@@ -115,9 +66,6 @@ pub struct Campaign {
     pub warmup: u64,
     /// Trace seed; campaigns are fully deterministic given the seed.
     pub seed: u64,
-    /// Exact simulation or phase sampling. Sampled campaigns remain fully
-    /// deterministic, but their counters are reconstructions, not replays.
-    pub sampling: SamplingPolicy,
 }
 
 impl Default for Campaign {
@@ -128,7 +76,6 @@ impl Default for Campaign {
             instructions: 300_000,
             warmup: 60_000,
             seed: 42,
-            sampling: SamplingPolicy::Exact,
         }
     }
 }
@@ -140,14 +87,7 @@ impl Campaign {
             instructions: 60_000,
             warmup: 20_000,
             seed: 42,
-            sampling: SamplingPolicy::Exact,
         }
-    }
-
-    /// Returns the campaign with the given sampling policy.
-    pub fn with_sampling(mut self, sampling: SamplingPolicy) -> Self {
-        self.sampling = sampling;
-        self
     }
 
     /// Measures every benchmark on every machine.
@@ -234,55 +174,9 @@ impl Campaign {
         profile: &WorkloadProfile,
         machines: &[MachineConfig],
     ) -> Vec<Measurement> {
-        if self.sampling.is_sampled() {
-            return self.measure_fleet_sampled(profile, machines, || {
-                TraceGenerator::new(profile, self.seed)
-            });
-        }
-        let fleet = FleetSimulator::new(machines).with_warmup(self.warmup).run(
-            profile,
-            self.instructions,
-            self.seed,
-        );
-        self.wrap_power(fleet, machines)
-    }
-
-    /// Phase-sampled measurement (see `horizon-simpoint`): fingerprints the
-    /// window once, then simulates only representative slices stitched
-    /// through one persistent fleet state and reconstructs the counters.
-    /// `mk_source` is invoked once for the fingerprint pass and once for
-    /// the stitched simulation; both invocations must return the same
-    /// stream `TraceGenerator::new(profile, self.seed)` would expand, from
-    /// position 0 (a packed-trace replay qualifies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the campaign's sampling policy is [`SamplingPolicy::Exact`]
-    /// — callers decide between exact and sampled paths, this is the
-    /// sampled one.
-    pub fn measure_fleet_sampled<I: Iterator<Item = horizon_trace::Instruction>>(
-        &self,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-        mk_source: impl FnMut() -> I,
-    ) -> Vec<Measurement> {
-        let config = self
-            .sampling
-            .simpoint_config()
-            .expect("measure_fleet_sampled requires a sampling policy");
-        let (_plan, fleet) = horizon_simpoint::sample_fleet(
-            &config,
-            profile,
-            machines,
-            self.warmup,
-            self.instructions,
-            mk_source,
-        );
-        self.wrap_power(fleet, machines)
-    }
-
-    fn wrap_power(&self, fleet: Vec<Counters>, machines: &[MachineConfig]) -> Vec<Measurement> {
-        fleet
+        FleetSimulator::new(machines)
+            .with_warmup(self.warmup)
+            .run(profile, self.instructions, self.seed)
             .into_iter()
             .zip(machines)
             .map(|(counters, machine)| {
@@ -292,36 +186,10 @@ impl Campaign {
             .collect()
     }
 
-    /// [`Campaign::measure_fleet`] with the instruction stream supplied by
-    /// the caller — the replay entry point. The source must reproduce the
-    /// stream `TraceGenerator::new(profile, self.seed)` would expand (e.g.
-    /// a packed trace from `horizon-tracestore`) and must yield at least
-    /// `self.warmup + self.instructions` items; measurements are then
-    /// bit-identical to [`Campaign::measure_fleet`].
-    pub fn measure_fleet_trace(
-        &self,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-        source: impl Iterator<Item = horizon_trace::Instruction>,
-    ) -> Vec<Measurement> {
-        let fleet = FleetSimulator::new(machines)
-            .with_warmup(self.warmup)
-            .run_trace(profile, self.instructions, source);
-        self.wrap_power(fleet, machines)
-    }
-
     /// Simulates a single (workload, machine) cell — the primitive every
     /// backend is built from. Fully deterministic: the result depends only
-    /// on `(profile, machine, instructions, warmup, seed, sampling)`.
+    /// on `(profile, machine, instructions, warmup, seed)`.
     pub fn measure_one(&self, profile: &WorkloadProfile, machine: &MachineConfig) -> Measurement {
-        if self.sampling.is_sampled() {
-            return self
-                .measure_fleet_sampled(profile, std::slice::from_ref(machine), || {
-                    TraceGenerator::new(profile, self.seed)
-                })
-                .pop()
-                .expect("one machine, one measurement");
-        }
         let counters = CoreSimulator::new(machine).with_warmup(self.warmup).run(
             profile,
             self.instructions,
@@ -511,7 +379,6 @@ mod tests {
             instructions: 20_000,
             warmup: 5_000,
             seed: 7,
-            ..Campaign::default()
         }
         .measure(&benchmarks, &machines)
     }

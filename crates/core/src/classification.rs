@@ -141,7 +141,6 @@ mod tests {
             instructions: 200_000,
             warmup: 50_000,
             seed: 42,
-            ..Campaign::default()
         }
         .measure(
             &benchmarks,

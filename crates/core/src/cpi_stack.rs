@@ -128,7 +128,6 @@ mod tests {
             instructions: 150_000,
             warmup: 40_000,
             seed: 42,
-            ..Campaign::default()
         }
         .measure(&benchmarks, &[MachineConfig::skylake_i7_6700()]);
         cpi_stacks(&r, "Intel Core i7-6700").unwrap()

@@ -124,7 +124,6 @@ mod tests {
             instructions: 120_000,
             warmup: 30_000,
             seed: 42,
-            ..Campaign::default()
         }
         .measure(&cpu2017::speed_int(), &MachineConfig::table_iv_machines())
     }

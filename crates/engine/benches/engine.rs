@@ -29,7 +29,6 @@ fn grid() -> (Campaign, Vec<WorkloadProfile>, Vec<MachineConfig>) {
         instructions: 15_000,
         warmup: 5_000,
         seed: 42,
-        ..Campaign::default()
     };
     let profiles: Vec<WorkloadProfile> = cpu2017::speed_int()
         .iter()

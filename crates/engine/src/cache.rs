@@ -27,8 +27,7 @@ struct CacheEntry {
     measurement: Measurement,
 }
 
-/// Result of one [`DiskCache::gc`] pass, optionally combined with a trace
-/// store pass ([`GcReport::absorb_trace`]). Serializable so the `repro
+/// Result of one [`DiskCache::gc`] pass. Serializable so the `repro
 /// serve` daemon can return it as a JSON response body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GcReport {
@@ -40,34 +39,6 @@ pub struct GcReport {
     pub reclaimed_bytes: u64,
     /// Entries left in the cache.
     pub retained: u64,
-    /// Trace files present before the trace-store pass (zero when no
-    /// trace store was pruned).
-    pub trace_examined: u64,
-    /// Trace files deleted.
-    pub trace_removed: u64,
-    /// Bytes freed by trace deletions.
-    pub trace_reclaimed_bytes: u64,
-    /// Trace files left in the store.
-    pub trace_retained: u64,
-    /// Bytes still held by the retained trace files.
-    pub trace_retained_bytes: u64,
-    /// Orphaned trace temp files (interrupted publications) deleted.
-    pub trace_tmp_removed: u64,
-    /// Bytes freed by deleting those orphans.
-    pub trace_tmp_reclaimed_bytes: u64,
-}
-
-impl GcReport {
-    /// Folds a trace-store GC pass into this report.
-    pub fn absorb_trace(&mut self, trace: &horizon_tracestore::TraceGc) {
-        self.trace_examined += trace.examined;
-        self.trace_removed += trace.removed;
-        self.trace_reclaimed_bytes += trace.reclaimed_bytes;
-        self.trace_retained += trace.retained;
-        self.trace_retained_bytes += trace.retained_bytes;
-        self.trace_tmp_removed += trace.tmp_removed;
-        self.trace_tmp_reclaimed_bytes += trace.tmp_reclaimed_bytes;
-    }
 }
 
 /// A directory of cached measurements.
@@ -209,7 +180,6 @@ mod tests {
             instructions: 20_000,
             warmup: 5_000,
             seed: 7,
-            ..Campaign::default()
         };
         let profile = horizon_workloads::cpu2017::all()[0].profile().clone();
         let machine = MachineConfig::skylake_i7_6700();
@@ -279,7 +249,6 @@ mod tests {
                     instructions: 20_000,
                     warmup: 5_000,
                     seed,
-                    ..Campaign::default()
                 };
                 let fp = Fingerprint::of_job(&campaign, &profile, &machine);
                 let m = campaign.measure_one(&profile, &machine);
@@ -337,7 +306,6 @@ mod tests {
                 removed: 0,
                 reclaimed_bytes: 0,
                 retained: 2,
-                ..GcReport::default()
             }
         );
         for (fp, _) in &entries {

@@ -54,7 +54,6 @@ mod tests {
             instructions: 100_000,
             warmup: 20_000,
             seed: 1,
-            ..Campaign::default()
         }
     }
 

@@ -24,22 +24,14 @@ pub struct Fingerprint(String);
 impl Fingerprint {
     /// Fingerprints one simulation job.
     pub fn of_job(campaign: &Campaign, profile: &WorkloadProfile, machine: &MachineConfig) -> Self {
-        let mut entries = vec![
+        let key = Value::Map(vec![
             ("schema".to_string(), SCHEMA_VERSION.to_value()),
             ("instructions".to_string(), campaign.instructions.to_value()),
             ("warmup".to_string(), campaign.warmup.to_value()),
             ("seed".to_string(), campaign.seed.to_value()),
             ("profile".to_string(), profile.to_value()),
             ("machine".to_string(), machine.to_value()),
-        ];
-        // Sampled measurements are approximations of their exact
-        // counterparts, never substitutes: the policy joins the key (only
-        // when non-default, so every pre-existing exact entry keeps its
-        // digest) and sampled/exact results can never alias.
-        if campaign.sampling.is_sampled() {
-            entries.push(("sampling".to_string(), campaign.sampling.to_value()));
-        }
-        let key = Value::Map(entries);
+        ]);
         let canonical = serde_json::to_string(&key).expect("canonical key serializes");
         Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
     }
@@ -51,20 +43,13 @@ impl Fingerprint {
     /// batch (see `horizon_uarch::FleetSimulator`) without changing any
     /// result.
     pub fn of_profile(campaign: &Campaign, profile: &WorkloadProfile) -> Self {
-        let mut entries = vec![
+        let key = Value::Map(vec![
             ("schema".to_string(), SCHEMA_VERSION.to_value()),
             ("instructions".to_string(), campaign.instructions.to_value()),
             ("warmup".to_string(), campaign.warmup.to_value()),
             ("seed".to_string(), campaign.seed.to_value()),
             ("profile".to_string(), profile.to_value()),
-        ];
-        // Keep sampled and exact batches apart for the same reason as
-        // `of_job`: a fleet batch's sampling policy changes what its jobs
-        // compute, even though the expanded trace is identical.
-        if campaign.sampling.is_sampled() {
-            entries.push(("sampling".to_string(), campaign.sampling.to_value()));
-        }
-        let key = Value::Map(entries);
+        ]);
         let canonical = serde_json::to_string(&key).expect("canonical key serializes");
         Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
     }
@@ -157,40 +142,27 @@ mod tests {
     }
 
     #[test]
-    fn sampling_policy_separates_and_keeps_exact_digests() {
-        use horizon_core::campaign::SamplingPolicy;
-        let (c, p, m) = sample_inputs();
-        assert_eq!(c.sampling, SamplingPolicy::Exact);
-        let exact_job = Fingerprint::of_job(&c, &p, &m);
-        let sampled = Campaign {
-            sampling: SamplingPolicy::simpoint_default(),
-            ..c
-        };
-        assert_ne!(exact_job, Fingerprint::of_job(&sampled, &p, &m));
-        assert_ne!(
-            Fingerprint::of_profile(&c, &p),
-            Fingerprint::of_profile(&sampled, &p)
-        );
-        let other_knobs = Campaign {
-            sampling: SamplingPolicy::SimPoint {
-                interval: 1_000,
-                max_phases: 2,
-            },
-            ..c
-        };
-        assert_ne!(
-            Fingerprint::of_job(&sampled, &p, &m),
-            Fingerprint::of_job(&other_knobs, &p, &m)
-        );
-    }
-
-    #[test]
     fn canonical_digest_is_stable_and_input_sensitive() {
         let a = Fingerprint::of_canonical(b"route:table1:quick");
         assert_eq!(a, Fingerprint::of_canonical(b"route:table1:quick"));
         assert_ne!(a, Fingerprint::of_canonical(b"route:table2:quick"));
         assert_eq!(a.as_str().len(), 32);
         assert!(a.as_str().chars().all(|ch| ch.is_ascii_hexdigit()));
+    }
+
+    /// Every disk cache dir is keyed on these digests, so the canonical
+    /// encoding must not drift without a `SCHEMA_VERSION` bump.
+    #[test]
+    fn exact_digests_are_pinned() {
+        let (c, p, m) = sample_inputs();
+        assert_eq!(
+            Fingerprint::of_job(&c, &p, &m).as_str(),
+            "285852e5460b2309e0a371376c60ed33"
+        );
+        assert_eq!(
+            Fingerprint::of_profile(&c, &p).as_str(),
+            "1fcd381a7c492b226f81ea8680290d59"
+        );
     }
 
     #[test]

@@ -209,7 +209,6 @@ mod tests {
             instructions: 1_000,
             warmup: 100,
             seed: 7,
-            ..Campaign::default()
         };
         Fingerprint::of_job(
             &campaign,

@@ -55,10 +55,6 @@
 //! `engine.disk_hits`, `engine.simulated_instructions`,
 //! `engine.simulation_wall_nanos`, `engine.elapsed_nanos`) and histograms
 //! (`engine.queue_wait_ns`, `engine.job_wall_ns`) accumulate alongside.
-//! With a trace store attached ([`Engine::with_trace_store`]), fleet
-//! batches additionally account `tracestore.hits`, `tracestore.misses`,
-//! `tracestore.bytes_read`, `tracestore.bytes_written`, and
-//! `tracestore.instructions_written`.
 //! [`EngineStats`] is *derived* from this recorder — see
 //! [`EngineStats::from_snapshot`] — so the trace and the stats can never
 //! disagree. Pass a shared recorder with [`Engine::with_recorder`] (the
@@ -81,16 +77,11 @@ pub use cache::{DiskCache, GcReport};
 pub use cost::estimated_cost;
 pub use fingerprint::{Fingerprint, SCHEMA_VERSION};
 pub use stats::{EngineStats, JobTiming};
-// The trace-store types a CLI needs to manage the store the engine reads
-// and writes (GC passes, direct inspection), re-exported so callers don't
-// grow their own `horizon-tracestore` dependency.
-pub use horizon_tracestore::{TraceGc, TraceKey, TraceReader, TraceStore};
 
 use crate::inflight::{Claim, FollowerTicket, InflightTable, LeaderGuard};
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::Recorder;
-use horizon_trace::{Instruction, TraceGenerator, WorkloadProfile};
-use horizon_tracestore::PendingTrace;
+use horizon_trace::WorkloadProfile;
 use horizon_uarch::MachineConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,13 +105,6 @@ pub struct ProgressEvent {
 
 type ProgressCallback = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 
-/// A cluster hook consulted on trace-store miss: given the missing key,
-/// fetch the packed trace from a sibling node's store (and typically
-/// install it locally) before the engine falls back to regeneration.
-/// Returning `None` means "no sibling had it" — strictly best-effort,
-/// like every other cache layer.
-type PeerFetch = Box<dyn Fn(&TraceKey) -> Option<TraceReader> + Send + Sync>;
-
 /// The execution engine. Cheap to construct; hold one for the process
 /// lifetime to maximize memoization.
 pub struct Engine {
@@ -130,12 +114,10 @@ pub struct Engine {
     /// guarantees the setting only affects wall clock, never results.
     jobs: AtomicUsize,
     disk: Option<DiskCache>,
-    traces: Option<TraceStore>,
     memo: Mutex<HashMap<Fingerprint, Measurement>>,
     inflight: InflightTable,
     recorder: Arc<Recorder>,
     progress: Option<ProgressCallback>,
-    peer_fetch: Option<PeerFetch>,
 }
 
 impl Default for Engine {
@@ -151,12 +133,10 @@ impl Engine {
         Engine {
             jobs: AtomicUsize::new(0),
             disk: None,
-            traces: None,
             memo: Mutex::new(HashMap::new()),
             inflight: InflightTable::default(),
             recorder: Arc::new(Recorder::new()),
             progress: None,
-            peer_fetch: None,
         }
     }
 
@@ -196,27 +176,18 @@ impl Engine {
         Ok(self)
     }
 
-    /// Attaches a content-addressed trace store rooted at `dir`: fleet
-    /// batches replay stored instruction streams instead of re-expanding
-    /// them, and write packed traces through on a miss. Strictly a
-    /// wall-clock optimization — replay is bit-identical to regeneration
-    /// (`horizon-tracestore`'s equivalence gates), so results never depend
-    /// on store state.
+    /// Does nothing: the packed trace store is gone, because expanding a
+    /// trace costs less than storing and replaying it. Kept only because
+    /// the benchmark ladder (`examples/ladder/src/layers.rs`) still calls
+    /// it; delete it together with that call in the next change to the
+    /// benchmark.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if the directory cannot be
-    /// created.
-    pub fn with_trace_store(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        self.traces = Some(TraceStore::open(dir)?);
+    /// Never; the `Result` keeps the old signature.
+    #[doc(hidden)]
+    pub fn with_trace_store(self, _dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
         Ok(self)
-    }
-
-    /// The attached trace store, if [`Engine::with_trace_store`] configured
-    /// one. Long-lived holders (the `repro serve` daemon) use this to run
-    /// GC passes against the same store the executor reads and writes.
-    pub fn trace_store(&self) -> Option<&TraceStore> {
-        self.traces.as_ref()
     }
 
     /// Replaces the engine's telemetry recorder — typically with one that
@@ -255,22 +226,6 @@ impl Engine {
     /// whenever no campaigns overlap.
     pub fn inflight_waiting(&self) -> usize {
         self.inflight.waiting()
-    }
-
-    /// Registers a cluster peer-fetch hook, consulted when a trace-store
-    /// probe misses: the hook may stream the packed trace from a sibling
-    /// node's store (installing it locally so the next probe hits) and the
-    /// engine replays it instead of regenerating. A `None` return, a
-    /// window mismatch, or any hook failure degrades to plain
-    /// regeneration — peering can only change wall clock, never results.
-    /// Counted as `tracestore.peer_hits` / `tracestore.peer_misses`.
-    #[must_use]
-    pub fn with_peer_fetch(
-        mut self,
-        fetch: impl Fn(&TraceKey) -> Option<TraceReader> + Send + Sync + 'static,
-    ) -> Self {
-        self.peer_fetch = Some(Box::new(fetch));
-        self
     }
 
     /// Registers a progress callback, invoked once per unique job as it
@@ -504,79 +459,74 @@ impl Engine {
             let simulate_span = rec.phase_span("engine.simulate");
             let cursor = AtomicUsize::new(0);
             let pool_start = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let _run_scope = horizon_telemetry::RunScope::enter(run);
-                        loop {
-                            let b = cursor.fetch_add(1, Ordering::Relaxed);
-                            if b >= batches.len() {
-                                break;
-                            }
-                            let queue_wait = pool_start.elapsed().as_nanos() as u64;
-                            let (w, ids) = &batches[b];
-                            let batch_machines: Vec<MachineConfig> =
-                                ids.iter().map(|&id| machines[jobs[id].1].clone()).collect();
-                            let batch_guards: Vec<LeaderGuard<'_>> = (0..ids.len())
-                                .map(|k| {
-                                    guards[batch_start[b] + k]
-                                        .lock()
-                                        .expect("guard slot")
-                                        .take()
-                                        .expect("each guard is taken once")
-                                })
-                                .collect();
-                            let job_start = Instant::now();
-                            let measurements =
-                                self.measure_batch(campaign, &profiles[*w], &batch_machines);
-                            let wall = job_start.elapsed().as_nanos() as u64;
-                            // Attribute the batch's wall clock across its jobs
-                            // so per-job accounting sums exactly to the batch.
-                            let n = ids.len() as u64;
-                            let (share, extra) = (wall / n, wall % n);
-                            for (k, ((&id, measurement), guard)) in
-                                ids.iter().zip(measurements).zip(batch_guards).enumerate()
-                            {
-                                let (jw, jm) = jobs[id];
-                                let wall_nanos = share + u64::from((k as u64) < extra);
-                                rec.histogram_record("engine.queue_wait_ns", queue_wait);
-                                let mut job_span = rec.span("engine.job");
-                                job_span.set_parent(campaign_id);
-                                job_span.record("workload", profiles[jw].name());
-                                job_span.record("machine", machines[jm].name.as_str());
-                                job_span.record("outcome", "simulated");
-                                job_span.record(
-                                    "instructions",
-                                    campaign.instructions + campaign.warmup,
-                                );
-                                job_span.record("est_cost", profile_cost[jw]);
-                                job_span.record("fleet", ids.len());
-                                job_span.record("wall_ns", wall_nanos);
-                                drop(job_span);
-                                rec.histogram_record("engine.job_wall_ns", wall_nanos);
-                                slots[batch_start[b] + k]
-                                    .set((measurement, wall_nanos))
-                                    .expect("each slot is claimed once");
-                                self.emit_progress(
-                                    &completed,
-                                    total,
-                                    &profiles[jw],
-                                    &machines[jm],
-                                    false,
-                                );
-                                // Publish last: anything that panics above
-                                // (simulation, telemetry, the progress
-                                // callback) drops the guard unpublished and
-                                // fails co-waiters instead of feeding them a
-                                // result this campaign never vouched for.
-                                let (m, _) = slots[batch_start[b] + k]
-                                    .get()
-                                    .expect("slot set just above");
-                                guard.publish(m, &self.memo);
-                            }
-                        }
-                    });
+            // The calling thread is one of the workers: it runs the same
+            // claim loop as the `workers - 1` spawned threads, so a single
+            // worker spawns nothing and every worker count runs one path.
+            let work = || {
+                let _run_scope = horizon_telemetry::RunScope::enter(run);
+                loop {
+                    let b = cursor.fetch_add(1, Ordering::Relaxed);
+                    if b >= batches.len() {
+                        break;
+                    }
+                    let queue_wait = pool_start.elapsed().as_nanos() as u64;
+                    let (w, ids) = &batches[b];
+                    let batch_machines: Vec<MachineConfig> =
+                        ids.iter().map(|&id| machines[jobs[id].1].clone()).collect();
+                    let batch_guards: Vec<LeaderGuard<'_>> = (0..ids.len())
+                        .map(|k| {
+                            guards[batch_start[b] + k]
+                                .lock()
+                                .expect("guard slot")
+                                .take()
+                                .expect("each guard is taken once")
+                        })
+                        .collect();
+                    let job_start = Instant::now();
+                    let measurements = campaign.measure_fleet(&profiles[*w], &batch_machines);
+                    let wall = job_start.elapsed().as_nanos() as u64;
+                    // Attribute the batch's wall clock across its jobs
+                    // so per-job accounting sums exactly to the batch.
+                    let n = ids.len() as u64;
+                    let (share, extra) = (wall / n, wall % n);
+                    for (k, ((&id, measurement), guard)) in
+                        ids.iter().zip(measurements).zip(batch_guards).enumerate()
+                    {
+                        let (jw, jm) = jobs[id];
+                        let wall_nanos = share + u64::from((k as u64) < extra);
+                        rec.histogram_record("engine.queue_wait_ns", queue_wait);
+                        let mut job_span = rec.span("engine.job");
+                        job_span.set_parent(campaign_id);
+                        job_span.record("workload", profiles[jw].name());
+                        job_span.record("machine", machines[jm].name.as_str());
+                        job_span.record("outcome", "simulated");
+                        job_span.record("instructions", campaign.instructions + campaign.warmup);
+                        job_span.record("est_cost", profile_cost[jw]);
+                        job_span.record("fleet", ids.len());
+                        job_span.record("wall_ns", wall_nanos);
+                        drop(job_span);
+                        rec.histogram_record("engine.job_wall_ns", wall_nanos);
+                        slots[batch_start[b] + k]
+                            .set((measurement, wall_nanos))
+                            .expect("each slot is claimed once");
+                        self.emit_progress(&completed, total, &profiles[jw], &machines[jm], false);
+                        // Publish last: anything that panics above
+                        // (simulation, telemetry, the progress
+                        // callback) drops the guard unpublished and
+                        // fails co-waiters instead of feeding them a
+                        // result this campaign never vouched for.
+                        let (m, _) = slots[batch_start[b] + k]
+                            .get()
+                            .expect("slot set just above");
+                        guard.publish(m, &self.memo);
+                    }
                 }
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
             });
             drop(simulate_span);
         }
@@ -663,140 +613,6 @@ impl Engine {
         CampaignResult::from_grid(workload_names, machine_names, grid)
     }
 
-    /// Measures one fleet batch, routing the instruction stream through
-    /// the trace store when one is attached: a stored `(profile, seed,
-    /// window)` trace is replayed instead of re-expanded, and a miss
-    /// tees the freshly generated stream into the store for every later
-    /// batch (any machine set, any campaign, any process) that shares it.
-    /// Replay is bit-identical to regeneration, so this can only change
-    /// wall clock, never measurements. Store failures at any point fall
-    /// back to plain generation.
-    fn measure_batch(
-        &self,
-        campaign: &Campaign,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-    ) -> Vec<Measurement> {
-        if campaign.sampling.is_sampled() {
-            return self.measure_batch_sampled(campaign, profile, machines);
-        }
-        let Some(store) = &self.traces else {
-            return campaign.measure_fleet(profile, machines);
-        };
-        let window = campaign.warmup + campaign.instructions;
-        let key = TraceKey::of(profile, campaign.seed, window);
-        if let Some(reader) = store.load(&key) {
-            if reader.instructions() == window {
-                self.recorder.counter_add("tracestore.hits", 1);
-                self.recorder
-                    .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                return campaign.measure_fleet_trace(profile, machines, reader.iter());
-            }
-        }
-        self.recorder.counter_add("tracestore.misses", 1);
-        if let Some(reader) = self.fetch_peer_trace(&key, window) {
-            return campaign.measure_fleet_trace(profile, machines, reader.iter());
-        }
-        let Ok(mut pending) = store.begin(&key, window) else {
-            // Store directory unusable (permissions, disk full): simulate
-            // without it rather than failing the campaign.
-            return campaign.measure_fleet(profile, machines);
-        };
-        let mut ok = true;
-        let source = Tee {
-            inner: TraceGenerator::new(profile, campaign.seed).take(window as usize),
-            sink: &mut pending,
-            ok: &mut ok,
-        };
-        let measurements = campaign.measure_fleet_trace(profile, machines, source);
-        if ok {
-            if let Ok(bytes) = pending.publish() {
-                self.recorder.counter_add("tracestore.bytes_written", bytes);
-                self.recorder
-                    .counter_add("tracestore.instructions_written", window);
-            }
-        }
-        measurements
-    }
-
-    /// Measures one phase-sampled fleet batch. Sampling consumes the
-    /// stream twice — once to fingerprint the intervals, once for the
-    /// stitched simulation — so with a trace store attached, a store miss
-    /// first materializes the packed trace *without simulating* and both
-    /// passes then replay it; without a store (or when the store fails)
-    /// each pass re-expands the generator. Either source yields identical
-    /// measurements, so store state still never affects results.
-    fn measure_batch_sampled(
-        &self,
-        campaign: &Campaign,
-        profile: &WorkloadProfile,
-        machines: &[MachineConfig],
-    ) -> Vec<Measurement> {
-        let window = campaign.warmup + campaign.instructions;
-        if let Some(store) = &self.traces {
-            let key = TraceKey::of(profile, campaign.seed, window);
-            if let Some(reader) = store.load(&key) {
-                if reader.instructions() == window {
-                    self.recorder.counter_add("tracestore.hits", 1);
-                    self.recorder
-                        .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                    return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-                }
-            }
-            self.recorder.counter_add("tracestore.misses", 1);
-            if let Some(reader) = self.fetch_peer_trace(&key, window) {
-                return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-            }
-            if let Some(reader) = self.materialize_trace(campaign, profile, window) {
-                self.recorder
-                    .counter_add("tracestore.bytes_read", reader.packed_bytes());
-                return campaign.measure_fleet_sampled(profile, machines, || reader.iter());
-            }
-        }
-        // `measure_fleet` routes sampled campaigns to the generator-backed
-        // sampled path itself.
-        campaign.measure_fleet(profile, machines)
-    }
-
-    /// Consults the peer-fetch hook for a missing trace. `None` when no
-    /// hook is installed, the hook finds nothing, or the fetched trace's
-    /// window disagrees with the requested one (a sibling running a
-    /// different schema — discard rather than mis-replay).
-    fn fetch_peer_trace(&self, key: &TraceKey, window: u64) -> Option<TraceReader> {
-        let fetch = self.peer_fetch.as_ref()?;
-        let Some(reader) = fetch(key).filter(|r| r.instructions() == window) else {
-            self.recorder.counter_add("tracestore.peer_misses", 1);
-            return None;
-        };
-        self.recorder.counter_add("tracestore.peer_hits", 1);
-        self.recorder
-            .counter_add("tracestore.bytes_read", reader.packed_bytes());
-        Some(reader)
-    }
-
-    /// Expands the `(profile, seed)` stream into the trace store without
-    /// simulating anything and reopens it for replay. `None` on any store
-    /// failure — callers fall back to the generator.
-    fn materialize_trace(
-        &self,
-        campaign: &Campaign,
-        profile: &WorkloadProfile,
-        window: u64,
-    ) -> Option<TraceReader> {
-        let store = self.traces.as_ref()?;
-        let key = TraceKey::of(profile, campaign.seed, window);
-        let mut pending = store.begin(&key, window).ok()?;
-        for inst in TraceGenerator::new(profile, campaign.seed).take(window as usize) {
-            pending.push(&inst).ok()?;
-        }
-        let bytes = pending.publish().ok()?;
-        self.recorder.counter_add("tracestore.bytes_written", bytes);
-        self.recorder
-            .counter_add("tracestore.instructions_written", window);
-        let reader = store.load(&key)?;
-        (reader.instructions() == window).then_some(reader)
-    }
-
     fn emit_progress(
         &self,
         completed: &AtomicUsize,
@@ -828,28 +644,5 @@ impl CampaignExecutor for Engine {
         machines: &[MachineConfig],
     ) -> CampaignResult {
         Engine::measure_profiles(self, campaign, profiles, machines)
-    }
-}
-
-/// Write-through adapter: forwards a generator stream to the simulator
-/// while packing every instruction into a pending trace. An encoder or
-/// I/O failure flips `ok` and stops writing, but the simulation keeps
-/// streaming unaffected — the store is best-effort, the measurement is
-/// not.
-struct Tee<'a, I: Iterator<Item = Instruction>> {
-    inner: I,
-    sink: &'a mut PendingTrace,
-    ok: &'a mut bool,
-}
-
-impl<I: Iterator<Item = Instruction>> Iterator for Tee<'_, I> {
-    type Item = Instruction;
-
-    fn next(&mut self) -> Option<Instruction> {
-        let inst = self.inner.next()?;
-        if *self.ok && self.sink.push(&inst).is_err() {
-            *self.ok = false;
-        }
-        Some(inst)
     }
 }

@@ -48,19 +48,6 @@ pub struct EngineStats {
     pub disk_hits: u64,
     /// Instructions simulated (window + warmup, summed over simulated jobs).
     pub simulated_instructions: u64,
-    /// Fleet batches whose instruction stream was replayed from a stored
-    /// packed trace instead of re-expanded from the profile.
-    pub trace_hits: u64,
-    /// Fleet batches that found no stored trace (or an invalid one) and
-    /// regenerated — writing the trace through for later batches.
-    pub trace_misses: u64,
-    /// Packed trace bytes published to the store.
-    pub trace_bytes_written: u64,
-    /// Packed trace bytes replayed from the store.
-    pub trace_bytes_read: u64,
-    /// Instructions covered by the published traces (the denominator for
-    /// bytes per instruction).
-    pub trace_instructions_written: u64,
     /// Config-identical lane groups the fleet kernels stepped (summed over
     /// fleet constructions): each group advances every machine that shares
     /// the structure config in one data-parallel batch.
@@ -108,11 +95,6 @@ impl EngineStats {
             memo_hits: snapshot.counter("engine.memo_hits"),
             disk_hits: snapshot.counter("engine.disk_hits"),
             simulated_instructions: snapshot.counter("engine.simulated_instructions"),
-            trace_hits: snapshot.counter("tracestore.hits"),
-            trace_misses: snapshot.counter("tracestore.misses"),
-            trace_bytes_written: snapshot.counter("tracestore.bytes_written"),
-            trace_bytes_read: snapshot.counter("tracestore.bytes_read"),
-            trace_instructions_written: snapshot.counter("tracestore.instructions_written"),
             fleet_lane_groups: snapshot.counter("fleet.lane_groups"),
             fleet_laned_machines: snapshot.counter("fleet.laned_machines"),
             simulation_wall_nanos: snapshot.counter("engine.simulation_wall_nanos"),
@@ -142,16 +124,6 @@ impl EngineStats {
             return 0.0;
         }
         self.simulated_instructions as f64 / (self.simulation_wall_nanos as f64 / 1e9)
-    }
-
-    /// Packed size of the traces this engine published, in bytes per
-    /// instruction (zero when nothing was written). The format budget is
-    /// 8 B/inst; typical streams pack to 2–4.
-    pub fn trace_bytes_per_instruction(&self) -> f64 {
-        if self.trace_instructions_written == 0 {
-            return 0.0;
-        }
-        self.trace_bytes_written as f64 / self.trace_instructions_written as f64
     }
 
     /// Summed simulation wall time.
@@ -198,19 +170,6 @@ impl EngineStats {
                 self.fleet_laned_machines, self.fleet_lane_groups
             ));
         }
-        if self.trace_hits + self.trace_misses > 0 {
-            out.push_str(&format!(
-                "  trace store:     {} hits, {} misses ({} B written, {} B read",
-                self.trace_hits, self.trace_misses, self.trace_bytes_written, self.trace_bytes_read,
-            ));
-            if self.trace_instructions_written > 0 {
-                out.push_str(&format!(
-                    ", {:.2} B/inst",
-                    self.trace_bytes_per_instruction()
-                ));
-            }
-            out.push_str(")\n");
-        }
         out.push_str(&format!(
             "  sim wall:        {:.3} s (elapsed {:.3} s)",
             self.simulation_wall().as_secs_f64(),
@@ -255,11 +214,6 @@ mod tests {
             memo_hits: 5,
             disk_hits: 1,
             simulated_instructions: 2_000_000,
-            trace_hits: 3,
-            trace_misses: 1,
-            trace_bytes_written: 300_000,
-            trace_bytes_read: 900_000,
-            trace_instructions_written: 100_000,
             fleet_lane_groups: 37,
             fleet_laned_machines: 7,
             simulation_wall_nanos: 500_000_000,
@@ -269,9 +223,6 @@ mod tests {
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.cache_hits(), 6);
         assert!((s.instructions_per_second() - 4_000_000.0).abs() < 1e-6);
-        assert!((s.trace_bytes_per_instruction() - 3.0).abs() < 1e-12);
-        assert!(s.summary().contains("trace store:     3 hits, 1 misses"));
-        assert!(s.summary().contains("3.00 B/inst"));
         assert!(s
             .summary()
             .contains("lane stepping:   7 machine lanes in 37 config groups"));
@@ -323,11 +274,6 @@ mod tests {
             memo_hits: 0,
             disk_hits: 0,
             simulated_instructions: 100,
-            trace_hits: 1,
-            trace_misses: 2,
-            trace_bytes_written: 50,
-            trace_bytes_read: 25,
-            trace_instructions_written: 100,
             fleet_lane_groups: 21,
             fleet_laned_machines: 4,
             simulation_wall_nanos: 42,

@@ -27,7 +27,6 @@ fn campaign() -> Campaign {
         instructions: 20_000,
         warmup: 5_000,
         seed: 42,
-        ..Campaign::default()
     }
 }
 
@@ -346,6 +345,32 @@ fn progress_callback_sees_every_job_exactly_once() {
     assert_eq!(
         events.iter().filter(|(_, _, cached)| *cached).count(),
         total
+    );
+}
+
+#[test]
+fn one_worker_simulates_on_the_calling_thread() {
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+    let campaign = campaign();
+    let profiles = profiles();
+    let machines = machines();
+
+    let simulated_on: Arc<Mutex<Vec<ThreadId>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&simulated_on);
+    let engine = Engine::new().with_jobs(1).with_progress(move |e| {
+        if !e.cached {
+            sink.lock().unwrap().push(std::thread::current().id());
+        }
+    });
+    engine.measure_profiles(&campaign, &profiles, &machines);
+
+    let simulated_on = simulated_on.lock().unwrap();
+    assert_eq!(simulated_on.len(), profiles.len() * machines.len());
+    let caller = std::thread::current().id();
+    assert!(
+        simulated_on.iter().all(|&id| id == caller),
+        "a one-worker campaign must not spawn a simulation thread"
     );
 }
 

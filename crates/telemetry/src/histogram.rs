@@ -116,9 +116,10 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (`q` in
-    /// `[0, 1]`), or [`Histogram::max`] for samples in the overflow bucket.
-    /// A coarse tail estimator: within a bucket the true quantile may be up
-    /// to 2× smaller.
+    /// `[0, 1]`), capped at [`Histogram::max`] so it never exceeds the
+    /// largest observation (which is also the answer for samples in the
+    /// overflow bucket). A coarse tail estimator: within a bucket the true
+    /// quantile may be up to 2× smaller.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -128,7 +129,7 @@ impl Histogram {
         for (bound, c) in self.buckets() {
             seen += c;
             if seen >= rank {
-                return bound;
+                return bound.min(self.max);
             }
         }
         self.max
@@ -189,6 +190,14 @@ mod tests {
         assert!(p50 <= p99);
         assert!((500_000..=1_048_576).contains(&p50), "{p50}");
         assert!(p99 >= 990_000, "{p99}");
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_largest_observation() {
+        let mut h = Histogram::new();
+        h.record(5_000_000_000);
+        assert_eq!(h.quantile_upper_bound(0.5), 5_000_000_000);
+        assert_eq!(h.quantile_upper_bound(0.99), 5_000_000_000);
     }
 
     #[test]

@@ -206,7 +206,8 @@ mod tests {
         let text = sample_dump();
         assert!(text.contains("# TYPE horizon_engine_queue_wait_ns_quantile gauge"));
         assert!(text.contains("horizon_engine_queue_wait_ns_quantile{q=\"0.5\"} 4096"));
-        assert!(text.contains("horizon_engine_queue_wait_ns_quantile{q=\"0.99\"} 131072"));
+        // p99's bucket edge is 131072, capped at the largest sample.
+        assert!(text.contains("horizon_engine_queue_wait_ns_quantile{q=\"0.99\"} 70000"));
         assert!(text.contains("horizon_span_wall_nanos_quantile{phase=\"stats.eigen\",q=\"0.9\"}"));
     }
 

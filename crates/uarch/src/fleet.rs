@@ -219,22 +219,6 @@ struct GroupSnapshots {
     predictors: Vec<u64>,
 }
 
-/// One contiguous stretch of the trace handed to
-/// [`FleetSimulator::run_trace_segments`]: `skip` instructions are dropped
-/// from the stream (optionally with branch-outcome functional warming),
-/// then `warmup` instructions run detailed but unmeasured, then `measure`
-/// instructions are counted. Microarchitectural state persists across
-/// segments — that carry-over is the stitched-sampling approximation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSegment {
-    /// Instructions dropped before the detailed portion.
-    pub skip: u64,
-    /// Detailed but unmeasured instructions immediately before the window.
-    pub warmup: u64,
-    /// Measured instructions.
-    pub measure: u64,
-}
-
 /// Simulates one workload on many machines from a single trace expansion.
 ///
 /// Counters are bit-identical to running [`crate::CoreSimulator`] once per
@@ -261,8 +245,6 @@ pub struct FleetSimulator {
     machines: Vec<MachineConfig>,
     /// Instructions to run before counters start (cold-start warmup).
     warmup: u64,
-    /// Train branch predictors on skipped segment regions.
-    functional_warming: bool,
 }
 
 impl FleetSimulator {
@@ -272,27 +254,12 @@ impl FleetSimulator {
         FleetSimulator {
             machines: machines.to_vec(),
             warmup: 0,
-            functional_warming: false,
         }
     }
 
     /// Sets the warmup instruction count applied to every machine.
     pub fn with_warmup(mut self, instructions: u64) -> Self {
         self.warmup = instructions;
-        self
-    }
-
-    /// Enables SMARTS-style functional warming of skipped regions in
-    /// [`FleetSimulator::run_trace_segments`]: skipped instructions still
-    /// perform every cache, TLB and predictor state update (with
-    /// measurement disabled), so all structures — including slow-training
-    /// TAGE tables and slow-filling last-level caches — enter each
-    /// measured segment with exactly the state the full run would have
-    /// had. Only the measured footprint shrinks; reconstruction error is
-    /// then pure sampling error, never state staleness. Has no effect on
-    /// [`FleetSimulator::run_trace`], which skips nothing.
-    pub fn with_functional_warming(mut self, enabled: bool) -> Self {
-        self.functional_warming = enabled;
         self
     }
 
@@ -305,63 +272,17 @@ impl FleetSimulator {
     /// warmup) on every machine and returns one [`Counters`] per machine,
     /// in [`FleetSimulator::machines`] order.
     pub fn run(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Vec<Counters> {
-        self.run_trace(profile, instructions, TraceGenerator::new(profile, seed))
-    }
-
-    /// [`FleetSimulator::run`] with the instruction stream supplied by the
-    /// caller instead of expanded in place — the replay entry point. Any
-    /// `Iterator<Item = Instruction>` works: a live [`TraceGenerator`], a
-    /// packed trace replayed from disk, or a synthetic test stream. The
-    /// source must yield at least `warmup + instructions` items and must
-    /// reproduce the generator stream exactly for counters to match
-    /// [`FleetSimulator::run`]; `run` itself delegates here, so the two
-    /// paths cannot drift.
-    pub fn run_trace(
-        &self,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        source: impl Iterator<Item = Instruction>,
-    ) -> Vec<Counters> {
-        let seg = TraceSegment {
-            skip: 0,
-            warmup: 0,
-            measure: instructions,
-        };
-        self.run_trace_segments(profile, &[seg], source)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Runs a sequence of [`TraceSegment`]s through **one** persistent
-    /// fleet state and returns per-segment, per-machine counters (outer
-    /// index: segment; inner: [`FleetSimulator::machines`] order).
-    ///
-    /// This is the stitched-sampling entry point: skipped instructions
-    /// are dropped from the measured stream. With
-    /// [`FleetSimulator::with_functional_warming`] set they still run the
-    /// full state update (unmeasured), keeping every structure exactly on
-    /// the full run's trajectory; without it they are skipped outright
-    /// and state carries across the gap unchanged. The simulator's own
-    /// `warmup` runs detailed at the head of the stream, before the
-    /// first segment; [`FleetSimulator::run_trace`] is exactly a
-    /// single-segment call, so the two paths cannot drift.
-    pub fn run_trace_segments(
-        &self,
-        profile: &WorkloadProfile,
-        segments: &[TraceSegment],
-        source: impl Iterator<Item = Instruction>,
-    ) -> Vec<Vec<Counters>> {
         if self.machines.is_empty() {
-            return segments.iter().map(|_| Vec::new()).collect();
+            return Vec::new();
         }
         let mut fleet = FleetState::new(&self.machines);
 
-        if self.warmup > 0 || segments.iter().any(|s| s.warmup > 0) {
+        if self.warmup > 0 {
             let _prewarm_span = horizon_telemetry::span("sim.prewarm");
             fleet.prewarm(profile);
         }
 
-        let mut gen = source;
+        let mut gen = TraceGenerator::new(profile, seed);
         {
             let mut warmup_span = horizon_telemetry::span("sim.warmup");
             warmup_span.record("instructions", self.warmup);
@@ -369,38 +290,21 @@ impl FleetSimulator {
                 fleet.step(&inst, false);
             }
         }
+        fleet.flush_repeats();
+        let warm = fleet.snapshots();
 
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            if seg.skip > 0 {
-                if self.functional_warming {
-                    for inst in gen.by_ref().take(seg.skip as usize) {
-                        fleet.warm_skipped(&inst);
-                    }
-                } else {
-                    gen.by_ref().nth(seg.skip as usize - 1);
-                }
+        let mut trace = TraceCounts::default();
+        {
+            let mut measure_span = horizon_telemetry::span("sim.measure");
+            measure_span.record("instructions", instructions);
+            for inst in gen.take(instructions as usize) {
+                trace.note(&inst);
+                fleet.step(&inst, true);
             }
-            for inst in gen.by_ref().take(seg.warmup as usize) {
-                fleet.step(&inst, false);
-            }
-            fleet.flush_repeats();
-            let warm = fleet.snapshots();
-
-            let mut trace = TraceCounts::default();
-            {
-                let mut measure_span = horizon_telemetry::span("sim.measure");
-                measure_span.record("instructions", seg.measure);
-                for inst in gen.by_ref().take(seg.measure as usize) {
-                    trace.note(&inst);
-                    fleet.step(&inst, true);
-                }
-            }
-
-            fleet.flush_repeats();
-            out.push(fleet.assemble(&self.machines, profile, &trace, &warm));
         }
-        out
+
+        fleet.flush_repeats();
+        fleet.assemble(&self.machines, profile, &trace, &warm)
     }
 }
 
@@ -626,9 +530,8 @@ impl FleetState {
     /// 4. **Predictor lanes**: the batch's branch list in program order,
     ///    one virtual dispatch per lane per batch.
     ///
-    /// A partial batch (segment boundary, measured-flag flip, end of
-    /// stream) drains through the identical kernels — the scalar tail is
-    /// just a shorter block.
+    /// A partial batch (measured-flag flip, end of stream) drains through
+    /// the identical kernels — the scalar tail is just a shorter block.
     fn run_batch(&mut self) {
         if self.batch.len == 0 {
             return;
@@ -714,21 +617,6 @@ impl FleetState {
             }
         }
         self.batch.clear();
-    }
-
-    /// Functional warming for one skipped instruction, SMARTS-style: the
-    /// full state update of [`FleetState::step`] with measurement
-    /// disabled. Every cache and TLB probe still installs and evicts its
-    /// lines/pages and every branch outcome still trains every predictor
-    /// lane, so the whole machine state enters the next measured segment
-    /// exactly as the full run would have left it; measured counters are
-    /// isolated by the per-segment snapshot deltas, so none of these
-    /// events are ever reported. What sampling *removes* is the measured
-    /// footprint — the instructions whose events must be attributed — not
-    /// the state updates, exactly as in SMARTS functional warming.
-    #[inline]
-    fn warm_skipped(&mut self, inst: &Instruction) {
-        self.step(inst, false);
     }
 
     /// Drains the pending lane batch and folds the pending repeat-granule

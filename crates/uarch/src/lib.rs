@@ -44,7 +44,7 @@ mod topdown;
 pub use branch::{BranchPredictor, PredictorKind};
 pub use cache::{Cache, CacheConfig};
 pub use counters::Counters;
-pub use fleet::{FleetSimulator, TraceSegment};
+pub use fleet::FleetSimulator;
 pub use hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy, PrefetchConfig};
 pub use machine::{Isa, LatencyModel, MachineConfig};
 pub use power::{PowerModel, PowerReport};

@@ -1,6 +1,6 @@
 //! The core simulation loop: trace in, counters out.
 
-use horizon_trace::{Instruction, Kind, TraceGenerator, WorkloadProfile};
+use horizon_trace::{Kind, TraceGenerator, WorkloadProfile};
 
 use crate::counters::Counters;
 use crate::hierarchy::{AccessKind, MemoryHierarchy};
@@ -12,25 +12,18 @@ use crate::topdown::CpiStack;
 ///
 /// Each [`CoreSimulator::run`] builds fresh microarchitectural state (cold
 /// caches), streams instructions from a [`TraceGenerator`], and returns the
-/// accumulated [`Counters`] with the top-down CPI stack filled in. When the
-/// stream already exists — replayed from a packed on-disk trace, say —
-/// [`CoreSimulator::run_trace`] consumes any `Iterator<Item = Instruction>`
-/// instead of expanding the profile in place, with bit-identical counters.
+/// accumulated [`Counters`] with the top-down CPI stack filled in.
 ///
 /// # Example
 ///
 /// ```
-/// use horizon_trace::{TraceGenerator, WorkloadProfile};
+/// use horizon_trace::WorkloadProfile;
 /// use horizon_uarch::{CoreSimulator, MachineConfig};
 ///
 /// let p = WorkloadProfile::builder("w").loads(0.25).build()?;
 /// let sim = CoreSimulator::new(&MachineConfig::sparc_t4());
 /// let c = sim.run(&p, 50_000, 1);
 /// assert_eq!(c.instructions, 50_000);
-///
-/// // Replay entry point: identical counters from a caller-supplied stream.
-/// let replayed = sim.run_trace(&p, 50_000, TraceGenerator::new(&p, 1));
-/// assert_eq!(replayed, c);
 /// # Ok::<(), horizon_trace::ProfileError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -87,23 +80,6 @@ impl CoreSimulator {
     /// running for minutes — without it, short simulation windows
     /// over-count cold misses of rarely-touched regions.
     pub fn run(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Counters {
-        self.run_trace(profile, instructions, TraceGenerator::new(profile, seed))
-    }
-
-    /// [`CoreSimulator::run`] with the instruction stream supplied by the
-    /// caller instead of expanded in place — the replay entry point. Any
-    /// `Iterator<Item = Instruction>` works: a live [`TraceGenerator`], a
-    /// packed trace replayed from disk, or a synthetic test stream. The
-    /// source must yield at least `warmup + instructions` items and must
-    /// reproduce the generator stream exactly for counters to match
-    /// [`CoreSimulator::run`]; `run` itself delegates here, so the two
-    /// paths cannot drift.
-    pub fn run_trace(
-        &self,
-        profile: &WorkloadProfile,
-        instructions: u64,
-        source: impl Iterator<Item = Instruction>,
-    ) -> Counters {
         let mut caches = MemoryHierarchy::new(&self.machine.hierarchy);
         let mut tlbs = TlbHierarchy::new(&self.machine.tlb);
         let mut predictor = self.machine.predictor.build();
@@ -135,7 +111,7 @@ impl CoreSimulator {
             }
         }
 
-        let mut gen = source;
+        let mut gen = TraceGenerator::new(profile, seed);
 
         // Warmup: exercise all structures, then snapshot-subtract by simply
         // re-creating counters (structures keep their state).

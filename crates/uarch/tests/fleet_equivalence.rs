@@ -8,10 +8,8 @@
 //! counters byte-for-byte, so even a float that renders differently
 //! would fail.
 
-use horizon_trace::{Region, TraceGenerator, WorkloadProfile};
-use horizon_uarch::{
-    CacheConfig, CoreSimulator, Counters, FleetSimulator, MachineConfig, TlbConfig, TraceSegment,
-};
+use horizon_trace::{Region, WorkloadProfile};
+use horizon_uarch::{CacheConfig, CoreSimulator, FleetSimulator, MachineConfig, TlbConfig};
 use proptest::prelude::*;
 
 /// A randomized but always-valid profile. The mix fractions are kept
@@ -46,38 +44,6 @@ fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
 
 fn counters_json<T: serde::Serialize>(c: &T) -> String {
     serde_json::to_string(c).expect("counters serialize")
-}
-
-/// The raw event counts of one [`Counters`], in a fixed order. Derived
-/// floats (CPI stack, MPKI) are per-window ratios and do not sum across
-/// segments; the underlying events do.
-fn event_counts(c: &Counters) -> [u64; 24] {
-    [
-        c.instructions,
-        c.loads,
-        c.stores,
-        c.branches,
-        c.taken_branches,
-        c.mispredicts,
-        c.fp_ops,
-        c.simd_ops,
-        c.kernel_instructions,
-        c.l1i_accesses,
-        c.l1i_misses,
-        c.l1d_accesses,
-        c.l1d_misses,
-        c.l2i_accesses,
-        c.l2i_misses,
-        c.l2d_accesses,
-        c.l2d_misses,
-        c.l3_accesses,
-        c.l3_misses,
-        c.memory_accesses,
-        c.itlb_misses,
-        c.dtlb_misses,
-        c.page_walks_instruction,
-        c.page_walks_data,
-    ]
 }
 
 /// A deliberately degenerate machine: direct-mapped (1-way) L1s — the
@@ -150,75 +116,6 @@ proptest! {
         let stitched: Vec<String> = front.iter().chain(&back).map(counters_json).collect();
         let whole: Vec<String> = full.iter().map(counters_json).collect();
         prop_assert_eq!(stitched, whole);
-    }
-
-    /// The sampled path: consecutive gap-free measured segments through
-    /// `run_trace_segments` see exactly the events of one contiguous
-    /// window — per machine, the per-segment event counts sum to the
-    /// single-window counts. Exercises the lane batch draining at segment
-    /// boundaries (each boundary snapshot flushes a partial batch through
-    /// the same kernels as a full block).
-    #[test]
-    fn segment_deltas_sum_to_single_window(
-        profile in arb_profile(),
-        seed in any::<u64>(),
-        n1 in 2_000u64..12_000,
-        n2 in 1u64..12_000,
-        n3 in 2_000u64..12_000,
-    ) {
-        let machines = MachineConfig::table_iv_machines();
-        let seg = |measure| TraceSegment { skip: 0, warmup: 0, measure };
-        let fleet = FleetSimulator::new(&machines);
-        let split = fleet.run_trace_segments(
-            &profile,
-            &[seg(n1), seg(n2), seg(n3)],
-            TraceGenerator::new(&profile, seed),
-        );
-        let whole = fleet.run_trace_segments(
-            &profile,
-            &[seg(n1 + n2 + n3)],
-            TraceGenerator::new(&profile, seed),
-        );
-        for (m, machine) in machines.iter().enumerate() {
-            let mut summed = [0u64; 24];
-            for seg_counters in &split {
-                for (acc, v) in summed.iter_mut().zip(event_counts(&seg_counters[m])) {
-                    *acc += v;
-                }
-            }
-            prop_assert_eq!(
-                summed,
-                event_counts(&whole[0][m]),
-                "segment sums diverged on {}",
-                machine.name
-            );
-        }
-    }
-
-    /// With functional warming, a skipped prefix is the same state update
-    /// as explicit warmup: `skip + warmup` splits of the same unmeasured
-    /// prefix produce byte-identical counters.
-    #[test]
-    fn functional_warming_absorbs_skip_into_warmup(
-        profile in arb_profile(),
-        seed in any::<u64>(),
-        skip in 1_000u64..10_000,
-        warmup in 1u64..5_000,
-        measure in 3_000u64..15_000,
-    ) {
-        let machines = MachineConfig::table_iv_machines();
-        let fleet = FleetSimulator::new(&machines).with_functional_warming(true);
-        let skipped = fleet.run_trace_segments(
-            &profile,
-            &[TraceSegment { skip, warmup, measure }],
-            TraceGenerator::new(&profile, seed),
-        );
-        let warmed = fleet.run_trace_segments(
-            &profile,
-            &[TraceSegment { skip: 0, warmup: skip + warmup, measure }],
-            TraceGenerator::new(&profile, seed),
-        );
-        prop_assert_eq!(counters_json(&skipped), counters_json(&warmed));
     }
 }
 

@@ -13,7 +13,6 @@ fn campaign() -> Campaign {
         instructions: 150_000,
         warmup: 40_000,
         seed: 42,
-        ..Campaign::default()
     }
 }
 
