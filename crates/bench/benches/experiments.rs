@@ -15,7 +15,7 @@ macro_rules! experiment_bench {
         fn $fn_name(c: &mut Criterion) {
             let cfg = ReproConfig::smoke();
             c.bench_function(concat!("experiments/", $id), |b| {
-                b.iter(|| $driver(&cfg).expect("experiment succeeds").len())
+                b.iter(|| $driver(&cfg).expect("experiment succeeds").to_string())
             });
         }
     };

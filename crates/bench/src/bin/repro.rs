@@ -9,7 +9,7 @@
 //!
 //! flags:
 //!   --quick             reduced-scale config (3 machines, short windows)
-//!   --jobs <N>          worker threads (overrides HORIZON_JOBS)
+//!   --jobs <N>          worker threads (default: available parallelism)
 //!   --cache-dir <DIR>   persist measurements to an on-disk cache
 //!   --stats             print engine statistics and the per-phase
 //!                       wall-clock table to stderr when done
@@ -34,9 +34,9 @@
 //! ```
 //!
 //! Unknown flags are rejected with exit code 2. Experiment reports go to
-//! stdout and are bit-identical regardless of `--jobs`, `HORIZON_JOBS` or
-//! cache state; statistics, traces and metrics go to stderr or files so
-//! report output stays diffable.
+//! stdout and are bit-identical regardless of `--jobs` or cache state;
+//! statistics, traces and metrics go to stderr or files so report output
+//! stays diffable.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -342,7 +342,7 @@ fn run_serve(
         serve_opts.request_timeout = Duration::from_millis(ms);
     }
     let addr = serve_opts.addr.clone();
-    let server = match Server::bind(serve_opts, engine, recorder, opts.jobs) {
+    let server = match Server::bind(serve_opts, engine, recorder) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: cannot bind '{addr}': {e}");

@@ -49,7 +49,8 @@ use serde::Value;
 use crate::http::{read_request, Limits, Request, Response};
 use crate::sched::RunKey;
 use crate::serve::{
-    accept_until_shutdown, json_num, json_str, prepare_run, to_json, Pool, Saturated,
+    accept_until_shutdown, json_num, json_str, prepare_run, reject_saturated, to_json, Pool,
+    Saturated,
 };
 
 // ---------------------------------------------------------------------------
@@ -601,13 +602,10 @@ impl Router {
     /// when saturated.
     fn dispatch(&self, stream: TcpStream) {
         self.state.queue_depth.fetch_add(1, Ordering::SeqCst);
-        if let Err(Saturated(mut stream)) = self.pool.try_submit(stream) {
+        if let Err(Saturated(stream)) = self.pool.try_submit(stream) {
             self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
             self.state.recorder.counter_add("cluster.saturated", 1);
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-            let _ = Response::error(503, "router queue is full")
-                .with_header("Retry-After", "1")
-                .write_to(&mut stream, false);
+            reject_saturated(stream, "router queue is full");
         }
     }
 }
@@ -1360,6 +1358,78 @@ mod tests {
             let parsed = parse_response(&response_wire(200, &declared, &body))
                 .expect("the head is well-formed");
             prop_assert!(!parsed.complete, "Content-Length '{}' passed", declared);
+        }
+    }
+
+    /// Router state for driving [`tunnel_relay`] directly: no listener and
+    /// no poller.
+    fn relay_state() -> RouterState {
+        RouterState {
+            opts: RouterOptions {
+                peer_timeout: Duration::from_secs(2),
+                proxy_timeout: Duration::from_secs(10),
+                ..RouterOptions::default()
+            },
+            recorder: Arc::new(Recorder::new()),
+            started: Instant::now(),
+            node: "router".into(),
+            views: Mutex::new(Vec::new()),
+            buckets: Mutex::new(HashMap::new()),
+            queue_depth: AtomicUsize::new(0),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// One relay attempt against an upstream that reads the request, sends
+    /// `payload` and closes. Returns the outcome and every byte the
+    /// client end received.
+    fn relay_once(state: &RouterState, payload: Vec<u8>) -> (TunnelOutcome, Vec<u8>) {
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+        let peer = upstream.local_addr().expect("upstream addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = upstream.accept().expect("relay connects");
+            // Read the request to its half-close, so closing afterwards
+            // sends FIN, not a reset.
+            conn.read_to_end(&mut Vec::new()).expect("read request");
+            conn.write_all(&payload).expect("write payload");
+        });
+        let clients = TcpListener::bind("127.0.0.1:0").expect("bind client side");
+        let mut client =
+            TcpStream::connect(clients.local_addr().expect("client addr")).expect("connect client");
+        let (mut relay_end, _) = clients.accept().expect("accept client");
+        let outcome = tunnel_relay(
+            state,
+            &peer,
+            b"GET /events HTTP/1.1\r\n\r\n",
+            &mut relay_end,
+        );
+        server.join().expect("upstream thread");
+        drop(relay_end);
+        let mut received = Vec::new();
+        client
+            .read_to_end(&mut received)
+            .expect("read relayed bytes");
+        (outcome, received)
+    }
+
+    proptest! {
+        // Each case opens three sockets.
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The client receives exactly the bytes the upstream sent, and
+        /// the outcome is `NothingSent` exactly when it sent none.
+        #[test]
+        fn tunnel_relay_forwards_every_byte(
+            payload in prop_oneof![
+                Just(Vec::new()),
+                proptest::collection::vec(byte(), 1..=16),
+                proptest::collection::vec(byte(), 1..=8192),
+            ],
+        ) {
+            let (outcome, received) = relay_once(&relay_state(), payload.clone());
+            prop_assert_eq!(&received, &payload);
+            prop_assert_eq!(matches!(outcome, TunnelOutcome::NothingSent), payload.is_empty());
+            prop_assert_eq!(matches!(outcome, TunnelOutcome::Relayed), !payload.is_empty());
         }
     }
 

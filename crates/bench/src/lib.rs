@@ -1,7 +1,7 @@
 //! Experiment drivers that regenerate every table and figure of the paper.
 //!
 //! Each `table_*` / `fig_*` function runs the full pipeline for one
-//! experiment and returns the report as text. The `repro` binary prints
+//! experiment and returns its [`Report`]. The `repro` binary prints
 //! them; the Criterion benches time them at reduced scale; the integration
 //! tests assert their headline properties. The [`serve`] module wraps the
 //! same registry in a persistent HTTP daemon (`repro serve`) sharing one
@@ -25,7 +25,7 @@ use horizon_core::domains::classify_domains;
 use horizon_core::input_sets::analyze_input_sets;
 use horizon_core::metrics::Metric;
 use horizon_core::rate_speed::{divergent_pairs, rate_speed_distances};
-use horizon_core::report::{ascii_scatter, fmt, format_table};
+use horizon_core::report::{ascii_scatter, fmt, Report};
 use horizon_core::sensitivity::{
     classify_sensitivity, in_class, SensitivityClass, SensitivityThresholds,
 };
@@ -104,7 +104,7 @@ fn marker(i: usize) -> char {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table_1(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn table_1(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     let result = cfg.campaign.measure(&benchmarks, &cfg.skylake_only());
     let rows: Vec<Vec<String>> = benchmarks
@@ -122,21 +122,22 @@ pub fn table_1(cfg: &ReproConfig) -> Result<String, CoreError> {
             ]
         })
         .collect();
-    Ok(format!(
-        "Table I: Dynamic Instr. Count, Instr. Mix and CPI of the 43 SPEC \
-         CPU2017 benchmarks (simulated Skylake)\n\n{}",
-        format_table(
+    Ok(Report::default()
+        .text(
+            "Table I: Dynamic Instr. Count, Instr. Mix and CPI of the 43 SPEC \
+             CPU2017 benchmarks (simulated Skylake)\n\n",
+        )
+        .table(
             &[
                 "Benchmark",
                 "Icount(B)",
                 "Loads%",
                 "Stores%",
                 "Branches%",
-                "CPI"
+                "CPI",
             ],
-            &rows
-        )
-    ))
+            rows,
+        ))
 }
 
 /// Table II: min–max ranges of the cache/branch metrics per sub-suite.
@@ -144,7 +145,7 @@ pub fn table_1(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table_2(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn table_2(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let metrics = [
         ("L1D$ MPKI", Metric::L1DMpki),
         ("L1I$ MPKI", Metric::L1IMpki),
@@ -184,14 +185,15 @@ pub fn table_2(cfg: &ReproConfig) -> Result<String, CoreError> {
             row
         })
         .collect();
-    Ok(format!(
-        "Table II: Range of important performance characteristics of SPEC \
-         CPU2017 benchmarks (simulated Skylake)\n\n{}",
-        format_table(
-            &["Metric", "Rate INT", "Speed INT", "Rate FP", "Speed FP"],
-            &rows
+    Ok(Report::default()
+        .text(
+            "Table II: Range of important performance characteristics of SPEC \
+             CPU2017 benchmarks (simulated Skylake)\n\n",
         )
-    ))
+        .table(
+            &["Metric", "Rate INT", "Speed INT", "Rate FP", "Speed FP"],
+            rows,
+        ))
 }
 
 /// Figure 1: CPI stacks of the CPU2017 rate benchmarks.
@@ -199,16 +201,16 @@ pub fn table_2(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_1(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_1(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let mut benchmarks = cpu2017::rate_int();
     benchmarks.extend(cpu2017::rate_fp());
     let result = cfg.campaign.measure(&benchmarks, &cfg.skylake_only());
     let rows = cpi_stacks(&result, "Intel Core i7-6700")?;
-    Ok(format!(
+    Ok(Report::default().text(format!(
         "Figure 1: CPI stack of CPU2017 rate benchmarks\n\
          (# base, F frontend, B bad speculation, M memory, C core)\n\n{}",
         render_stacks(&rows, 0.02)
-    ))
+    )))
 }
 
 /// A sub-suite's similarity analysis (shared by Figures 2–4 and Table V).
@@ -225,14 +227,14 @@ pub fn sub_suite_analysis(
     Ok((SimilarityAnalysis::from_campaign(&result)?, benchmarks))
 }
 
-fn dendrogram_figure(cfg: &ReproConfig, sub: SubSuite, title: &str) -> Result<String, CoreError> {
+fn dendrogram_figure(cfg: &ReproConfig, sub: SubSuite, title: &str) -> Result<Report, CoreError> {
     let (analysis, _) = sub_suite_analysis(cfg, sub)?;
-    Ok(format!(
+    Ok(Report::default().text(format!(
         "{title}\n(PCs retained: {} covering {:.0}% of variance; average linkage)\n\n{}",
         analysis.pca().components(),
         analysis.pca().coverage() * 100.0,
         analysis.render_dendrogram()?
-    ))
+    )))
 }
 
 /// Figure 2: dendrogram of the SPECspeed INT benchmarks.
@@ -240,7 +242,7 @@ fn dendrogram_figure(cfg: &ReproConfig, sub: SubSuite, title: &str) -> Result<St
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_2(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_2(cfg: &ReproConfig) -> Result<Report, CoreError> {
     dendrogram_figure(
         cfg,
         SubSuite::SpeedInt,
@@ -253,7 +255,7 @@ pub fn fig_2(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_3(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_3(cfg: &ReproConfig) -> Result<Report, CoreError> {
     dendrogram_figure(
         cfg,
         SubSuite::SpeedFp,
@@ -266,7 +268,7 @@ pub fn fig_3(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_4(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_4(cfg: &ReproConfig) -> Result<Report, CoreError> {
     dendrogram_figure(
         cfg,
         SubSuite::RateFp,
@@ -300,7 +302,7 @@ pub fn sub_suite_subset(
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table_5(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn table_5(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let mut rows = Vec::new();
     for sub in SubSuite::all() {
         let (analysis, benchmarks) = sub_suite_analysis(cfg, sub)?;
@@ -320,19 +322,18 @@ pub fn table_5(cfg: &ReproConfig) -> Result<String, CoreError> {
             format!("{silhouette:.2}"),
         ]);
     }
-    Ok(format!(
-        "Table V: Representative subsets of the CPU2017 sub-suites\n\n{}",
-        format_table(
+    Ok(Report::default()
+        .text("Table V: Representative subsets of the CPU2017 sub-suites\n\n")
+        .table(
             &[
                 "Sub-suite",
                 "Subset of 3 Benchmarks",
                 "Sim-time reduction",
                 "Cut distance",
-                "Silhouette"
+                "Silhouette",
             ],
-            &rows
-        )
-    ))
+            rows,
+        ))
 }
 
 /// Figures 5/6 + Table VI: subset validation against commercial systems,
@@ -341,8 +342,8 @@ pub fn table_5(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn validation_report(cfg: &ReproConfig) -> Result<String, CoreError> {
-    let mut out = String::from(
+pub fn validation_report(cfg: &ReproConfig) -> Result<Report, CoreError> {
+    let mut report = Report::default().text(
         "Figures 5/6 and Table VI: Validation of subsets using performance \
          scores of commercial systems\n\n",
     );
@@ -357,10 +358,6 @@ pub fn validation_report(cfg: &ReproConfig) -> Result<String, CoreError> {
             &cfg.campaign,
         );
         let scores = table.validate(&subset.representatives)?;
-        out.push_str(&format!(
-            "{sub} (subset: {})\n",
-            subset.representatives.join(", ")
-        ));
         let rows: Vec<Vec<String>> = scores
             .iter()
             .map(|s| {
@@ -372,15 +369,14 @@ pub fn validation_report(cfg: &ReproConfig) -> Result<String, CoreError> {
                 ]
             })
             .collect();
-        out.push_str(&format_table(
-            &["System", "Full-suite score", "Subset score", "Error"],
-            &rows,
-        ));
-        out.push_str(&format!(
-            "average error {:.1}%, max {:.1}%\n\n",
-            average_error(&scores),
-            max_error(&scores)
-        ));
+        report = report
+            .subset(sub.to_string(), &subset.representatives)
+            .table(
+                &["System", "Full-suite score", "Subset score", "Error"],
+                rows,
+            )
+            .error_stat(average_error(&scores), max_error(&scores))
+            .text("\n");
 
         // The paper reports two specific random draws; two draws are
         // luck-dominated, so we report the mean and worst of ten.
@@ -396,21 +392,21 @@ pub fn validation_report(cfg: &ReproConfig) -> Result<String, CoreError> {
             format!("{rand_worst:.1}%"),
         ]);
     }
-    out.push_str(
-        "Table VI: Accuracy comparison among proposed and random subsets\n\
-         (random column: mean/worst over 10 draws; the paper's two draws\n\
-         landed at 22-50%)\n\n",
-    );
-    out.push_str(&format_table(
-        &[
-            "Sub-suite",
-            "Identified subset",
-            "Rand mean(10)",
-            "Rand worst",
-        ],
-        &table_vi,
-    ));
-    Ok(out)
+    Ok(report
+        .text(
+            "Table VI: Accuracy comparison among proposed and random subsets\n\
+             (random column: mean/worst over 10 draws; the paper's two draws\n\
+             landed at 22-50%)\n\n",
+        )
+        .table(
+            &[
+                "Sub-suite",
+                "Identified subset",
+                "Rand mean(10)",
+                "Rand worst",
+            ],
+            table_vi,
+        ))
 }
 
 /// Figures 7/8 + Table VII: input-set similarity and representative-input
@@ -419,8 +415,8 @@ pub fn validation_report(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn input_sets_report(cfg: &ReproConfig) -> Result<String, CoreError> {
-    let mut out = String::from(
+pub fn input_sets_report(cfg: &ReproConfig) -> Result<Report, CoreError> {
+    let mut report = Report::default().text(
         "Figures 7/8 and Table VII: Input-set similarity and representative \
          input sets\n\n",
     );
@@ -446,7 +442,7 @@ pub fn input_sets_report(cfg: &ReproConfig) -> Result<String, CoreError> {
             continue;
         }
         let (analysis, choices) = analyze_input_sets(&multi, &cfg.machines, &cfg.campaign)?;
-        out.push_str(&format!(
+        report = report.text(format!(
             "{label}: {} PCs covering {:.0}% of variance\n\n{}\n",
             analysis.pca().components(),
             analysis.pca().coverage() * 100.0,
@@ -466,13 +462,14 @@ pub fn input_sets_report(cfg: &ReproConfig) -> Result<String, CoreError> {
                 ]
             })
             .collect();
-        out.push_str(&format_table(
-            &["Benchmark", "Representative", "Distances to aggregate"],
-            &rows,
-        ));
-        out.push('\n');
+        report = report
+            .table(
+                &["Benchmark", "Representative", "Distances to aggregate"],
+                rows,
+            )
+            .text("\n");
     }
-    Ok(out)
+    Ok(report)
 }
 
 /// §IV-D: rate-vs-speed linkage distances over all 43 benchmarks.
@@ -480,7 +477,7 @@ pub fn input_sets_report(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn rate_speed_report(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn rate_speed_report(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     let result = measure(cfg, &benchmarks);
     let analysis = SimilarityAnalysis::from_campaign(&result)?;
@@ -497,21 +494,22 @@ pub fn rate_speed_report(cfg: &ReproConfig) -> Result<String, CoreError> {
             ]
         })
         .collect();
-    Ok(format!(
-        "Section IV-D: Are rate and speed benchmarks different?\n\n{}\n\
-         most divergent: {}\nmost similar: {}\n",
-        format_table(&["Stem", "Rate", "Speed", "PC distance"], &rows),
-        divergent
-            .iter()
-            .map(|p| p.stem.as_str())
-            .collect::<Vec<_>>()
-            .join(", "),
-        similar
-            .iter()
-            .map(|p| p.stem.as_str())
-            .collect::<Vec<_>>()
-            .join(", "),
-    ))
+    Ok(Report::default()
+        .text("Section IV-D: Are rate and speed benchmarks different?\n\n")
+        .table(&["Stem", "Rate", "Speed", "PC distance"], rows)
+        .text(format!(
+            "\nmost divergent: {}\nmost similar: {}\n",
+            divergent
+                .iter()
+                .map(|p| p.stem.as_str())
+                .collect::<Vec<_>>()
+                .join(", "),
+            similar
+                .iter()
+                .map(|p| p.stem.as_str())
+                .collect::<Vec<_>>()
+                .join(", "),
+        )))
 }
 
 /// Figure 9: branch-behavior PC scatter over all 43 benchmarks.
@@ -519,7 +517,7 @@ pub fn rate_speed_report(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_9(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_9(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     let result = measure(cfg, &benchmarks);
     let c = Classification::new(&result, Aspect::Branch)?;
@@ -541,7 +539,7 @@ pub fn fig_9(cfg: &ReproConfig) -> Result<String, CoreError> {
             .collect::<Vec<_>>()
             .join(", "))
     };
-    Ok(format!(
+    Ok(Report::default().text(format!(
         "Figure 9: CPU2017 benchmarks in the PC space of branch metrics\n\n{}\n\
          PC1 dominated by: {}\nPC2 dominated by: {}\n\
          highest misprediction rates: {}\nhighest taken-branch activity: {}\n",
@@ -558,7 +556,7 @@ pub fn fig_9(cfg: &ReproConfig) -> Result<String, CoreError> {
             .map(|(n, v)| format!("{n} ({v:.0})"))
             .collect::<Vec<_>>()
             .join(", "),
-    ))
+    )))
 }
 
 /// Figure 10: data-cache and instruction-cache PC scatters.
@@ -566,11 +564,11 @@ pub fn fig_9(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_10(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_10(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     let result = measure(cfg, &benchmarks);
-    let mut out =
-        String::from("Figure 10: CPU2017 benchmarks in the PC space of cache metrics\n\n");
+    let mut report = Report::default()
+        .text("Figure 10: CPU2017 benchmarks in the PC space of cache metrics\n\n");
     for (label, aspect, metric) in [
         (
             "Data-cache space (PC1 vs PC2)",
@@ -592,7 +590,7 @@ pub fn fig_10(cfg: &ReproConfig) -> Result<String, CoreError> {
             .map(|(i, (n, x, y))| (marker(i), n.clone(), *x, *y))
             .collect();
         let extremes = c.extremes_by_metric(&result, metric, 4);
-        out.push_str(&format!(
+        report = report.text(format!(
             "{label}\n\n{}\nextremes by {}: {}\n\n",
             ascii_scatter(&points, 72, 20, "PC1", "PC2"),
             metric.label(),
@@ -603,7 +601,7 @@ pub fn fig_10(cfg: &ReproConfig) -> Result<String, CoreError> {
                 .join(", "),
         ));
     }
-    Ok(out)
+    Ok(report)
 }
 
 /// Table VIII: application-domain classification with distinct members.
@@ -611,7 +609,7 @@ pub fn fig_10(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table_8(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn table_8(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     let result = measure(cfg, &benchmarks);
     let analysis = SimilarityAnalysis::from_campaign(&result)?;
@@ -626,11 +624,12 @@ pub fn table_8(cfg: &ReproConfig) -> Result<String, CoreError> {
             ]
         })
         .collect();
-    Ok(format!(
-        "Table VIII: Classification of benchmarks based on application \
-         domains (distinct members marked)\n\n{}",
-        format_table(&["App domain", "Members", "Distinct benchmarks"], &rows)
-    ))
+    Ok(Report::default()
+        .text(
+            "Table VIII: Classification of benchmarks based on application \
+             domains (distinct members marked)\n\n",
+        )
+        .table(&["App domain", "Members", "Distinct benchmarks"], rows))
 }
 
 /// Figure 11 + §V-B: CPU2017 vs CPU2006 coverage and removed-benchmark
@@ -639,7 +638,7 @@ pub fn table_8(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_11(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let c2017 = cpu2017::all();
     let c2006 = cpu2006::all();
     let mut all = c2017.clone();
@@ -650,7 +649,8 @@ pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
     let names2017: Vec<String> = c2017.iter().map(|b| b.name().to_string()).collect();
     let names2006: Vec<String> = c2006.iter().map(|b| b.name().to_string()).collect();
 
-    let mut out = String::from("Figure 11: CPU2017 and CPU2006 in the PC workload space\n\n");
+    let mut report =
+        Report::default().text("Figure 11: CPU2017 and CPU2006 in the PC workload space\n\n");
     let k = analysis.pca().components();
     for (label, px, py) in [("PC1 vs PC2", 0, 1), ("PC3 vs PC4", 2, 3)] {
         if py >= k {
@@ -674,7 +674,7 @@ pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
                 )
             })
             .collect();
-        out.push_str(&format!(
+        report = report.text(format!(
             "{label}:\n{}\nCPU2017 hull area {:.1}, CPU2006 hull area {:.1} \
              (ratio {:.2}); {:.0}% of CPU2017 outside CPU2006's hull\n\n",
             ascii_scatter(&points, 72, 22, "PCx", "PCy"),
@@ -692,7 +692,6 @@ pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
         .filter(|n| !["471.omnetpp", "410.bwaves"].contains(&n.as_str()))
         .collect();
     let gaps = removed_coverage(&analysis, &removed, &names2017, 0.77)?;
-    out.push_str("Section V-B: coverage of removed CPU2006 benchmarks\n\n");
     let rows: Vec<Vec<String>> = gaps
         .iter()
         .map(|g| {
@@ -708,22 +707,23 @@ pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
             ]
         })
         .collect();
-    out.push_str(&format_table(
-        &[
-            "Removed benchmark",
-            "Nearest CPU2017",
-            "Distance",
-            "Verdict",
-        ],
-        &rows,
-    ));
     let uncovered: Vec<&str> = gaps
         .iter()
         .filter(|g| g.uncovered)
         .map(|g| g.removed.as_str())
         .collect();
-    out.push_str(&format!("\nuncovered: {}\n", uncovered.join(", ")));
-    Ok(out)
+    Ok(report
+        .text("Section V-B: coverage of removed CPU2006 benchmarks\n\n")
+        .table(
+            &[
+                "Removed benchmark",
+                "Nearest CPU2017",
+                "Distance",
+                "Verdict",
+            ],
+            rows,
+        )
+        .text(format!("\nuncovered: {}\n", uncovered.join(", "))))
 }
 
 /// Figure 12: power-characteristics PC scatter of CPU2017 vs CPU2006 on the
@@ -732,7 +732,7 @@ pub fn fig_11(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_12(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_12(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let c2017 = cpu2017::all();
     let c2006 = cpu2006::all();
     let mut all = c2017.clone();
@@ -755,7 +755,7 @@ pub fn fig_12(cfg: &ReproConfig) -> Result<String, CoreError> {
             )
         })
         .collect();
-    Ok(format!(
+    Ok(Report::default().text(format!(
         "Figure 12: CPU2017 and CPU2006 in the PC space of power \
          characteristics (3 Intel machines)\n\n{}\nCPU2017 hull area {:.1} vs \
          CPU2006 {:.1} (ratio {:.2})\n",
@@ -763,7 +763,7 @@ pub fn fig_12(cfg: &ReproConfig) -> Result<String, CoreError> {
         cmp.area_a,
         cmp.area_b,
         cmp.area_a / cmp.area_b.max(1e-9),
-    ))
+    )))
 }
 
 /// Figure 13: similarity among CPU2017, EDA, graph-analytics, and database
@@ -772,17 +772,17 @@ pub fn fig_12(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig_13(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn fig_13(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let mut all = cpu2017::all();
     all.extend(cpu2000::all());
     all.extend(emerging::all());
     let result = measure(cfg, &all);
     let analysis = SimilarityAnalysis::from_campaign(&result)?;
-    let mut out = format!(
+    let mut report = Report::default().text(format!(
         "Figure 13: Similarity among CPU2017, EDA, graph analytics and \
          database applications\n\n{}\n",
         analysis.render_dendrogram()?
-    );
+    ));
     // Headline claims of §V-D/E/F.
     for probe in [
         "175.vpr",
@@ -803,11 +803,11 @@ pub fn fig_13(cfg: &ReproConfig) -> Result<String, CoreError> {
             .map(|j| (analysis.names()[j].clone(), analysis.distances().get(i, j)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .expect("non-empty");
-        out.push_str(&format!(
+        report = report.text(format!(
             "{probe}: nearest CPU2017 benchmark {nearest} at distance {dist:.2}\n"
         ));
     }
-    Ok(out)
+    Ok(report)
 }
 
 /// Table IX: sensitivity classes for branch prediction, L1 D-cache and
@@ -816,7 +816,7 @@ pub fn fig_13(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn table_9(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn table_9(cfg: &ReproConfig) -> Result<Report, CoreError> {
     let benchmarks = cpu2017::all();
     // Four machines, as in §V-G: diverse predictors, L1 sizes and TLBs.
     let machines = vec![
@@ -826,7 +826,7 @@ pub fn table_9(cfg: &ReproConfig) -> Result<String, CoreError> {
         MachineConfig::opteron_2435(),
     ];
     let result = cfg.campaign.measure(&benchmarks, &machines);
-    let mut out = String::from(
+    let mut report = Report::default().text(
         "Table IX: Sensitivity to branch misprediction rate, L1 D-cache miss \
          rate and TLB miss rate (four machines)\n\n",
     );
@@ -836,13 +836,13 @@ pub fn table_9(cfg: &ReproConfig) -> Result<String, CoreError> {
         ("L1 D TLB", Metric::DtlbMpmi),
     ] {
         let s = classify_sensitivity(&result, metric, SensitivityThresholds::default())?;
-        out.push_str(&format!(
+        report = report.text(format!(
             "{label}\n  High:   {}\n  Medium: {}\n\n",
             in_class(&s, SensitivityClass::High).join(", "),
             in_class(&s, SensitivityClass::Medium).join(", "),
         ));
     }
-    Ok(out)
+    Ok(report)
 }
 
 /// Methodology-robustness report: leave-one-machine-out jackknife of the
@@ -851,12 +851,12 @@ pub fn table_9(cfg: &ReproConfig) -> Result<String, CoreError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn stability_report(cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn stability_report(cfg: &ReproConfig) -> Result<Report, CoreError> {
     use horizon_core::stability::machine_jackknife;
     let benchmarks = cpu2017::speed_int();
     let result = measure(cfg, &benchmarks);
-    let report = machine_jackknife(&result, 3)?;
-    let rows: Vec<Vec<String>> = report
+    let jackknife = machine_jackknife(&result, 3)?;
+    let rows: Vec<Vec<String>> = jackknife
         .replicates
         .iter()
         .map(|r| {
@@ -868,23 +868,22 @@ pub fn stability_report(cfg: &ReproConfig) -> Result<String, CoreError> {
             ]
         })
         .collect();
-    Ok(format!(
-        "Methodology stability: leave-one-machine-out jackknife          (SPECspeed INT, k = 3)
-
-baseline subset: {} (most distinct: {})
-
-{}
-         mean subset overlap {:.0}%, most-distinct agreement {:.0}%
-",
-        report.baseline.join(", "),
-        report.baseline_most_distinct,
-        format_table(
+    Ok(Report::default()
+        .text(format!(
+            "Methodology stability: leave-one-machine-out jackknife          \
+             (SPECspeed INT, k = 3)\n\nbaseline subset: {} (most distinct: {})\n\n",
+            jackknife.baseline.join(", "),
+            jackknife.baseline_most_distinct,
+        ))
+        .table(
             &["Dropped machine", "Subset", "Overlap", "Most distinct"],
-            &rows
-        ),
-        report.mean_overlap() * 100.0,
-        report.most_distinct_agreement() * 100.0,
-    ))
+            rows,
+        )
+        .text(format!(
+            "\n         mean subset overlap {:.0}%, most-distinct agreement {:.0}%\n",
+            jackknife.mean_overlap() * 100.0,
+            jackknife.most_distinct_agreement() * 100.0,
+        )))
 }
 
 /// One experiment of the reproduction: canonical id, accepted aliases, and
@@ -904,8 +903,8 @@ pub struct Experiment {
     /// largest-first on this, so the expensive campaigns claim workers
     /// before a burst of cheap ones fragments the pool.
     pub weight: u64,
-    /// The driver producing the report text.
-    pub run: fn(&ReproConfig) -> Result<String, CoreError>,
+    /// The driver producing the report.
+    pub run: fn(&ReproConfig) -> Result<Report, CoreError>,
 }
 
 /// All experiments, in paper order.
@@ -1047,18 +1046,28 @@ pub fn find_experiment(name: &str) -> Option<&'static Experiment> {
 
 /// Runs one experiment under an `experiment` telemetry span (carrying the
 /// experiment's canonical id), so every engine campaign and pipeline stage
-/// it triggers nests under one per-experiment subtree in the trace. All
-/// callers — the `repro` binary and [`all_experiments`] — go through here.
+/// it triggers nests under one per-experiment subtree in the trace. Every
+/// caller — the `repro` binary, the daemon and [`all_experiments`] — goes
+/// through here.
 ///
 /// # Errors
 ///
 /// Propagates the experiment's error.
-pub fn run_experiment(e: &Experiment, cfg: &ReproConfig) -> Result<String, CoreError> {
+pub fn run_report(e: &Experiment, cfg: &ReproConfig) -> Result<Report, CoreError> {
     // A phase span, so live-bus subscribers (SSE streams, `--progress`)
     // see experiment enter/exit without following every leaf span.
     let mut span = horizon_telemetry::phase_span("experiment");
     span.record("id", e.id);
     (e.run)(cfg)
+}
+
+/// [`run_report`], rendered as the report text.
+///
+/// # Errors
+///
+/// Propagates the experiment's error.
+pub fn run_experiment(e: &Experiment, cfg: &ReproConfig) -> Result<String, CoreError> {
+    run_report(e, cfg).map(|report| report.to_string())
 }
 
 /// Every experiment in paper order; each item is `(id, report)`.
@@ -1076,13 +1085,14 @@ pub fn all_experiments(cfg: &ReproConfig) -> Result<Vec<(&'static str, String)>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use horizon_core::report_v1::ReportV1;
 
     // Full-scale experiment content is exercised by the integration tests;
     // here we only check driver plumbing at the quick scale.
 
     #[test]
     fn table_1_lists_all_benchmarks() {
-        let out = table_1(&ReproConfig::quick()).unwrap();
+        let out = table_1(&ReproConfig::quick()).unwrap().to_string();
         assert!(out.contains("605.mcf_s"));
         assert!(out.contains("554.roms_r"));
         assert!(out.matches('\n').count() > 43);
@@ -1090,7 +1100,7 @@ mod tests {
 
     #[test]
     fn table_5_has_four_subsuites() {
-        let out = table_5(&ReproConfig::quick()).unwrap();
+        let out = table_5(&ReproConfig::quick()).unwrap().to_string();
         for sub in SubSuite::all() {
             assert!(out.contains(&sub.to_string()), "{out}");
         }
@@ -1099,9 +1109,48 @@ mod tests {
 
     #[test]
     fn fig_2_renders_dendrogram() {
-        let out = fig_2(&ReproConfig::quick()).unwrap();
+        let out = fig_2(&ReproConfig::quick()).unwrap().to_string();
         assert!(out.contains("641.leela_s"));
         assert!(out.contains('+'));
+    }
+
+    #[test]
+    fn reports_project_their_tables_titles_and_error_statistics() {
+        let cfg = ReproConfig::smoke();
+        for e in REGISTRY {
+            let report = run_report(e, &cfg).unwrap();
+            let text = report.to_string();
+            let json = ReportV1::from_report(e.id, &report);
+            assert_eq!(text.lines().next(), Some(json.title.as_str()), "{}", e.id);
+            for table in &json.tables {
+                for row in &table.rows {
+                    assert_eq!(row.len(), table.columns.len(), "{}: {row:?}", e.id);
+                    assert!(!row[0].starts_with("average error"), "{}: {row:?}", e.id);
+                }
+            }
+            if e.id != "fig5-6+table6" {
+                continue;
+            }
+            let contexts: Vec<String> = json.errors.iter().map(|s| s.context.clone()).collect();
+            let sub_suites: Vec<String> = SubSuite::all().iter().map(|s| s.to_string()).collect();
+            assert_eq!(contexts, sub_suites);
+            let printed: Vec<&str> = text
+                .lines()
+                .filter(|l| l.starts_with("average error"))
+                .collect();
+            let projected: Vec<String> = json
+                .errors
+                .iter()
+                .map(|s| {
+                    format!(
+                        "average error {}%, max {}%",
+                        fmt(s.average_pct, 1),
+                        fmt(s.max_pct, 1)
+                    )
+                })
+                .collect();
+            assert_eq!(printed, projected);
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   and enqueues the run; later identical submissions *coalesce* onto the
 //!   leader's slot and receive the same [`RunOutput`]. Engine results are
 //!   deterministic, so a coalesced answer is bit-identical to a private
-//!   one. `jobs` and `deadline_ms` do not shape the result and are
-//!   deliberately excluded from the key.
+//!   one. `deadline_ms` does not shape the result and is deliberately
+//!   excluded from the key.
 //! * **Largest-first ordering** — distinct queued runs are dispatched by
 //!   descending estimated cost ([`Experiment::weight`] × campaign window),
 //!   FIFO among equals, so a burst of cheap probes cannot starve the one
@@ -34,10 +34,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use horizon_engine::Engine;
+use horizon_core::report::Report;
 use horizon_telemetry::Recorder;
 
-use crate::{run_experiment, Experiment, ReproConfig};
+use crate::{run_report, Experiment, ReproConfig};
 
 /// Locks a mutex, recovering from poison: scheduler state must stay
 /// usable while a panicking run worker unwinds.
@@ -62,10 +62,8 @@ pub(crate) fn estimated_cost(experiment: &Experiment, cfg: &ReproConfig) -> u64 
 
 /// Identity of a run for coalescing: everything that shapes the report.
 ///
-/// `jobs` (wall-clock only — engine results are worker-count invariant)
-/// and `deadline_ms` (a property of the *request*, not the run) are
-/// excluded, so requests differing only in those still share one
-/// execution.
+/// `deadline_ms` (a property of the *request*, not the run) is excluded,
+/// so requests differing only in it still share one execution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RunKey {
     /// Canonical experiment id.
@@ -83,9 +81,9 @@ pub(crate) struct RunKey {
 /// What a finished run hands every waiter (leader and coalesced alike).
 #[derive(Debug, Clone)]
 pub(crate) struct RunOutput {
-    /// The rendered report, or a displayable error (experiment failures
-    /// and caught run panics both land here).
-    pub report: Result<String, String>,
+    /// The report, or a displayable error (experiment failures and caught
+    /// run panics both land here).
+    pub report: Result<Report, String>,
     /// Wall time of the execution itself (not any queue wait).
     pub wall_ms: u128,
     /// Engine memo hits observed during the execution.
@@ -156,7 +154,6 @@ struct QueuedRun {
     key: RunKey,
     experiment: &'static Experiment,
     cfg: ReproConfig,
-    jobs: Option<usize>,
     slot: Arc<RunSlot>,
 }
 
@@ -193,10 +190,7 @@ struct SchedShared {
     /// Queued + executing runs; shutdown drains this to zero.
     pending: AtomicUsize,
     seq: AtomicU64,
-    engine: Arc<Engine>,
     recorder: Arc<Recorder>,
-    /// Worker count to restore after a per-run `jobs` override.
-    default_jobs: Option<usize>,
 }
 
 /// The run scheduler: a priority queue of distinct runs, a coalescing
@@ -207,13 +201,8 @@ pub(crate) struct RunScheduler {
 }
 
 impl RunScheduler {
-    /// Spawns `workers` run workers over one shared engine/recorder.
-    pub(crate) fn new(
-        workers: usize,
-        engine: Arc<Engine>,
-        recorder: Arc<Recorder>,
-        default_jobs: Option<usize>,
-    ) -> RunScheduler {
+    /// Spawns `workers` run workers over one shared recorder.
+    pub(crate) fn new(workers: usize, recorder: Arc<Recorder>) -> RunScheduler {
         // Touch the scheduler's metrics so they are exported (as zero)
         // before the first run — scrapers and the CI smoke can rely on
         // their presence instead of special-casing an idle daemon.
@@ -227,9 +216,7 @@ impl RunScheduler {
             stop: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
-            engine,
             recorder,
-            default_jobs,
         });
         let handles = (0..workers.max(1))
             .map(|i| {
@@ -277,7 +264,6 @@ impl RunScheduler {
         experiment: &'static Experiment,
         key: RunKey,
         cfg: ReproConfig,
-        jobs: Option<usize>,
         cost: u64,
     ) -> (Arc<RunSlot>, bool) {
         let slot = {
@@ -299,7 +285,6 @@ impl RunScheduler {
             key,
             experiment,
             cfg,
-            jobs,
             slot: Arc::clone(&slot),
         };
         lock(&self.shared.queue).push(run);
@@ -338,12 +323,6 @@ impl RunScheduler {
 fn execute(shared: &SchedShared, run: QueuedRun) {
     let rec = &shared.recorder;
     rec.gauge_add("serve.active_runs", 1);
-    if let Some(jobs) = run.jobs {
-        // Best-effort under concurrency: worker count changes wall clock
-        // only, never results (engine determinism), so racing runs cannot
-        // corrupt each other.
-        shared.engine.set_jobs(Some(jobs));
-    }
     let before_memo = rec.counter_value("engine.memo_hits");
     let before_disk = rec.counter_value("engine.disk_hits");
     let before_sim = rec.counter_value("engine.simulated_jobs");
@@ -351,13 +330,8 @@ fn execute(shared: &SchedShared, run: QueuedRun) {
     // Attribute everything this run records or publishes on the live bus
     // (the engine re-enters the scope on its own workers).
     let run_scope = horizon_telemetry::RunScope::enter(run.slot.run_id());
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_experiment(run.experiment, &run.cfg)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| run_report(run.experiment, &run.cfg)));
     drop(run_scope);
-    if run.jobs.is_some() {
-        shared.engine.set_jobs(shared.default_jobs);
-    }
     let report = match result {
         Ok(Ok(report)) => Ok(report),
         Ok(Err(e)) => Err(format!("experiment '{}': {e}", run.experiment.id)),
@@ -401,12 +375,7 @@ mod tests {
 
     fn scheduler(workers: usize) -> (RunScheduler, Arc<Recorder>) {
         let recorder = Arc::new(Recorder::new());
-        let sched = RunScheduler::new(
-            workers,
-            Arc::new(Engine::new()),
-            Arc::clone(&recorder),
-            None,
-        );
+        let sched = RunScheduler::new(workers, Arc::clone(&recorder));
         (sched, recorder)
     }
 
@@ -426,9 +395,8 @@ mod tests {
         let experiment = find_experiment("table1").expect("registry");
         let cfg = ReproConfig::smoke();
         let (first, coalesced_first) =
-            sched.submit(experiment, key_for(experiment), cfg.clone(), None, 1);
-        let (second, coalesced_second) =
-            sched.submit(experiment, key_for(experiment), cfg, None, 1);
+            sched.submit(experiment, key_for(experiment), cfg.clone(), 1);
+        let (second, coalesced_second) = sched.submit(experiment, key_for(experiment), cfg, 1);
         assert!(!coalesced_first, "the first submission leads");
         assert!(
             coalesced_second,
@@ -444,7 +412,7 @@ mod tests {
         let a = a.report.expect("experiment succeeds");
         let b = b.report.expect("coalesced report");
         assert_eq!(a, b, "coalesced waiters read the same report");
-        assert!(a.contains("Table I"), "{a}");
+        assert!(a.to_string().contains("Table I"), "{a}");
         assert_eq!(
             recorder.counter_value("serve.runs_executed"),
             1,
@@ -459,13 +427,7 @@ mod tests {
     fn deadline_expired_waiter_detaches_without_poisoning_co_waiters() {
         let (sched, recorder) = scheduler(1);
         let experiment = find_experiment("table1").expect("registry");
-        let (slot, _) = sched.submit(
-            experiment,
-            key_for(experiment),
-            ReproConfig::smoke(),
-            None,
-            1,
-        );
+        let (slot, _) = sched.submit(experiment, key_for(experiment), ReproConfig::smoke(), 1);
         // 43 benchmarks of simulation cannot finish in a millisecond: the
         // impatient waiter times out and detaches...
         assert!(
@@ -478,13 +440,13 @@ mod tests {
             .wait(Duration::from_secs(60))
             .expect("co-waiter output");
         let report = output.report.expect("experiment succeeds");
-        assert!(report.contains("Table I"), "{report}");
+        assert!(report.to_string().contains("Table I"), "{report}");
         assert_eq!(recorder.counter_value("serve.runs_executed"), 1);
         sched.shutdown(Duration::from_secs(10));
         assert_eq!(sched.pending(), 0);
     }
 
-    fn boom(_: &ReproConfig) -> Result<String, CoreError> {
+    fn boom(_: &ReproConfig) -> Result<Report, CoreError> {
         panic!("injected run fault");
     }
 
@@ -499,20 +461,14 @@ mod tests {
     #[test]
     fn panicking_run_answers_waiters_cleanly_and_spares_the_worker() {
         let (sched, _recorder) = scheduler(1);
-        let (slot, _) = sched.submit(&BOOM, key_for(&BOOM), ReproConfig::smoke(), None, 1);
+        let (slot, _) = sched.submit(&BOOM, key_for(&BOOM), ReproConfig::smoke(), 1);
         let output = slot.wait(Duration::from_secs(30)).expect("published error");
         let error = output.report.expect_err("panicking run maps to an error");
         assert!(error.contains("panicked"), "{error}");
         assert!(error.contains("injected run fault"), "{error}");
         // The worker survived the panic and still executes new runs.
         let experiment = find_experiment("table1").expect("registry");
-        let (next, _) = sched.submit(
-            experiment,
-            key_for(experiment),
-            ReproConfig::smoke(),
-            None,
-            1,
-        );
+        let (next, _) = sched.submit(experiment, key_for(experiment), ReproConfig::smoke(), 1);
         let output = next.wait(Duration::from_secs(60)).expect("worker alive");
         assert!(output.report.is_ok());
         sched.shutdown(Duration::from_secs(10));
@@ -528,7 +484,6 @@ mod tests {
             key: key_for(experiment),
             experiment,
             cfg: ReproConfig::smoke(),
-            jobs: None,
             slot: Arc::new(RunSlot::default()),
         };
         let mut heap = BinaryHeap::new();
@@ -575,7 +530,6 @@ mod tests {
                             key: key_for(experiment),
                             experiment,
                             cfg: ReproConfig::smoke(),
-                            jobs: None,
                             slot: Arc::new(RunSlot::default()),
                         };
                         lock(&queue).push(run);

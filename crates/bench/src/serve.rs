@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness + warm-cache size |
 //! | `GET /experiments` | the experiment registry as JSON |
-//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for window/jobs/quick options |
+//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for quick/window/seed/deadline options |
 //! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
 //! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
@@ -21,16 +21,18 @@
 //!
 //! # Reports
 //!
-//! The default `POST /run` response carries a **schema-versioned
-//! structured report** ([`horizon_core::report_v1::ReportV1`]) under
-//! `report`: tables, subsets, error statistics and notes parsed from the
-//! rendered text, plus engine cache-effectiveness deltas alongside.
-//! `?format=text` instead returns `text/plain` **byte-identical** to the
-//! experiment's batch `repro <experiment>` stdout (report text plus
-//! trailing newline): both paths call [`crate::run_experiment`] with the same
-//! [`ReproConfig`], engine results are bit-identical regardless of worker
-//! count or cache state, and the structured view is *derived from* that
-//! same text, so the two formats can never disagree.
+//! A run produces one typed [`Report`]. The default `POST /run` response
+//! carries its **schema-versioned structured view**
+//! ([`horizon_core::report_v1::ReportV1`]) under `report`: tables,
+//! subsets, error statistics and notes projected from the report's
+//! blocks, plus engine cache-effectiveness deltas alongside.
+//! `?format=text` instead returns the report rendered as `text/plain`,
+//! **byte-identical** to the experiment's batch `repro <experiment>`
+//! stdout (report text plus trailing newline): both paths run
+//! [`crate::run_report`] with the same [`ReproConfig`], and engine
+//! results are bit-identical regardless of worker count or cache state.
+//! Text and JSON come from the same `Report`, so the two formats cannot
+//! disagree.
 //!
 //! # Live streaming
 //!
@@ -95,11 +97,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use horizon_core::report::Report;
 use horizon_core::report_v1::ReportV1;
 use horizon_engine::Engine;
 use horizon_telemetry::{EventKind, Recorder, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY};
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 use crate::http::{read_request, ChunkedWriter, HttpError, Limits, Request, Response};
 use crate::sched::{RunKey, RunOutput, RunScheduler};
@@ -438,16 +441,10 @@ impl Server {
         opts: ServeOptions,
         engine: Arc<Engine>,
         recorder: Arc<Recorder>,
-        default_jobs: Option<usize>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
-        let sched = RunScheduler::new(
-            opts.workers,
-            Arc::clone(&engine),
-            Arc::clone(&recorder),
-            default_jobs,
-        );
+        let sched = RunScheduler::new(opts.workers, Arc::clone(&recorder));
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(ServerState {
             engine,
@@ -520,7 +517,9 @@ impl Server {
         self.state.queue_depth.fetch_add(1, Ordering::SeqCst);
         if let Err(Saturated(stream)) = self.pool.try_submit(stream) {
             self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            reject_saturated(&self.state, stream);
+            self.state.recorder.counter_add("serve.saturated", 1);
+            self.state.recorder.counter_add("serve.http_5xx", 1);
+            reject_saturated(stream, "request queue is full");
         }
     }
 }
@@ -614,12 +613,11 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     }
 }
 
-/// Writes the saturation response on the accept thread.
-fn reject_saturated(state: &ServerState, mut stream: TcpStream) {
-    state.recorder.counter_add("serve.saturated", 1);
-    state.recorder.counter_add("serve.http_5xx", 1);
+/// Writes the saturation `503` on the accept thread. Shared by the daemon
+/// and the cluster router; each counts its own rejections.
+pub(crate) fn reject_saturated(mut stream: TcpStream, message: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = Response::error(503, "request queue is full")
+    let _ = Response::error(503, message)
         .with_header("Retry-After", "1")
         .write_to(&mut stream, false);
     // Drain whatever request bytes the client already sent before closing.
@@ -878,7 +876,6 @@ pub(crate) struct RunOptions {
     pub(crate) instructions: Option<u64>,
     pub(crate) warmup: Option<u64>,
     pub(crate) seed: Option<u64>,
-    pub(crate) jobs: Option<usize>,
     pub(crate) deadline: Option<Duration>,
 }
 
@@ -896,7 +893,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
         instructions: None,
         warmup: None,
         seed: None,
-        jobs: None,
         deadline: None,
     };
     if request.body.is_empty() {
@@ -925,13 +921,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
             }
             "warmup" => opts.warmup = Some(parse_u64(value, "warmup")?),
             "seed" => opts.seed = Some(parse_u64(value, "seed")?),
-            "jobs" => {
-                let n = parse_u64(value, "jobs")?;
-                if n == 0 {
-                    return Err(HttpError::new(400, "option 'jobs' must be positive"));
-                }
-                opts.jobs = Some(n as usize);
-            }
             "deadline_ms" => {
                 let ms = parse_u64(value, "deadline_ms")?;
                 if ms == 0 {
@@ -1022,12 +1011,9 @@ fn run_json_body(
     quick: bool,
     coalesced: bool,
     output: &RunOutput,
-    report: &str,
-) -> Result<String, String> {
-    let structured = ReportV1::from_text(experiment.id, report);
-    let report_value = serde_json::to_string(&structured)
-        .and_then(|json| serde_json::from_str::<Value>(&json))
-        .map_err(|e| format!("cannot serialize report_v1: {e}"))?;
+    report: &Report,
+) -> String {
+    let structured = ReportV1::from_report(experiment.id, report).to_value();
     let engine_stats = Value::Map(vec![
         ("memo_hits_delta".into(), json_num(output.memo_hits_delta)),
         ("disk_hits_delta".into(), json_num(output.disk_hits_delta)),
@@ -1043,9 +1029,9 @@ fn run_json_body(
         ("coalesced".into(), Value::Bool(coalesced)),
         ("wall_ms".into(), json_num(output.wall_ms)),
         ("engine".into(), engine_stats),
-        ("report".into(), report_value),
+        ("report".into(), structured),
     ]);
-    Ok(to_json(&body))
+    to_json(&body)
 }
 
 /// `POST /run/{experiment}`: schedule one registry experiment on the warm
@@ -1074,7 +1060,7 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
         key,
         cost,
     } = prepared;
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs, cost);
+    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, cost);
     let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
 
     let rec = &state.recorder;
@@ -1093,18 +1079,16 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
     };
     state.observe_run_cost(cost, output.wall_ms);
     let report = match &output.report {
-        Ok(report) => report.clone(),
+        Ok(report) => report,
         Err(message) => return Response::error(500, message),
     };
     match format {
         // Byte-identical to batch mode's `println!("{report}")`.
         RunFormat::Text => Response::text(200, format!("{report}\n")),
-        RunFormat::Json => {
-            match run_json_body(state, experiment, opts.quick, coalesced, &output, &report) {
-                Ok(body) => Response::json(200, body),
-                Err(message) => Response::error(500, &message),
-            }
-        }
+        RunFormat::Json => Response::json(
+            200,
+            run_json_body(state, experiment, opts.quick, coalesced, &output, report),
+        ),
     }
 }
 
@@ -1158,7 +1142,7 @@ fn run_stream(
     // guarantees every event of the run is in (or through) our ring by
     // the time the slot reports completion.
     let sub = state.recorder.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, opts.jobs, cost);
+    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, cost);
     let run_id = slot.run_id();
     let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
     let rec = &state.recorder;
@@ -1218,15 +1202,10 @@ fn run_stream(
             }
             state.observe_run_cost(cost, output.wall_ms);
             let terminal = match &output.report {
-                Ok(report) => {
-                    match run_json_body(state, experiment, opts.quick, coalesced, &output, report) {
-                        Ok(body) => sse_frame("report", &body),
-                        Err(message) => sse_frame(
-                            "error",
-                            &to_json(&Value::Map(vec![("error".into(), json_str(&message))])),
-                        ),
-                    }
-                }
+                Ok(report) => sse_frame(
+                    "report",
+                    &run_json_body(state, experiment, opts.quick, coalesced, &output, report),
+                ),
                 Err(message) => sse_frame(
                     "error",
                     &to_json(&Value::Map(vec![("error".into(), json_str(message))])),
@@ -1424,13 +1403,8 @@ mod tests {
     }
 
     fn bind_server(opts: ServeOptions) -> Server {
-        Server::bind(
-            opts,
-            Arc::new(Engine::new()),
-            Arc::new(Recorder::new()),
-            None,
-        )
-        .expect("bind ephemeral")
+        Server::bind(opts, Arc::new(Engine::new()), Arc::new(Recorder::new()))
+            .expect("bind ephemeral")
     }
 
     fn test_server(workers: usize, queue_cap: usize) -> Server {
@@ -1722,10 +1696,12 @@ mod tests {
         let bad_body = "POST /run/table1 HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\nnot json!";
         let bad = request(addr, bad_body);
         assert!(bad.starts_with("HTTP/1.1 400 "), "{bad}");
-        for option in [
-            "{\"typo\":true}",
-            "{\"sampling\":\"simpoint\"}",
-            "{\"sampling_interval\":5000}",
+        for (option, key) in [
+            ("{\"typo\":true}", "typo"),
+            ("{\"sampling\":\"simpoint\"}", "sampling"),
+            ("{\"sampling_interval\":5000}", "sampling_interval"),
+            // `--jobs` is the one way to set the worker count.
+            ("{\"jobs\":2}", "jobs"),
         ] {
             let unknown = request(
                 addr,
@@ -1735,7 +1711,10 @@ mod tests {
                 ),
             );
             assert!(unknown.starts_with("HTTP/1.1 400 "), "{unknown}");
-            assert!(unknown.contains("unknown option"), "{unknown}");
+            assert!(
+                unknown.contains(&format!("unknown option '{key}'")),
+                "{unknown}"
+            );
         }
         let bad_format = request(
             addr,

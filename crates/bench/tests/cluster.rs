@@ -589,6 +589,97 @@ fn router_serves_local_endpoints_tunnels_sse_and_aggregates_metrics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Sends one `Connection: close` request and reads until EOF. A reset or
+/// any other read error comes back as `Err`.
+fn exchange(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+    let raw = format!(
+        "{method} {path} HTTP/1.1\r\nHost: repro\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes())?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    Ok(response)
+}
+
+#[test]
+fn saturated_router_answers_whole_503s() {
+    let dir = scratch_dir("router-saturation");
+    let worker = Daemon::spawn(&["--cache-dir", dir.join("w").to_str().unwrap()], &[]);
+    let router = Daemon::spawn(
+        &[
+            "--role",
+            "router",
+            "--peers",
+            &worker.addr,
+            "--workers",
+            "1",
+            "--queue-cap",
+            "1",
+        ],
+        &[],
+    );
+    wait_for_alive(&router, 1, "worker up");
+
+    // Distinct seeds: every run is cold on the worker, so the router's one
+    // relay thread and one queue slot stay taken while the rest arrive.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(6));
+    let handles: Vec<_> = (0..6)
+        .map(|seed| {
+            let addr = router.addr.clone();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let body = format!("{{\"quick\":true,\"seed\":{}}}", 100 + seed);
+                exchange(&addr, "POST", "/run/table1", &body)
+            })
+        })
+        .collect();
+    let mut statuses = Vec::new();
+    for handle in handles {
+        let response = handle
+            .join()
+            .expect("client thread")
+            .unwrap_or_else(|e| panic!("a client lost its response: {e}"));
+        let response = String::from_utf8(response).expect("utf-8 response");
+        let (head, body) = response
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("incomplete response: {response:?}"));
+        let status: u16 = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no status line in: {response:?}"));
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no Content-Length in: {head}"));
+        assert_eq!(body.len(), length, "truncated body: {response:?}");
+        match status {
+            200 => assert_eq!(str_field(&json(body), "experiment"), "table1"),
+            503 => assert!(head.contains("\r\nRetry-After: 1"), "{head}"),
+            other => panic!("expected 200 or 503, got {other}: {response}"),
+        }
+        statuses.push(status);
+    }
+    assert!(statuses.contains(&200), "no run was relayed: {statuses:?}");
+    assert!(
+        statuses.contains(&503),
+        "the router never saturated: {statuses:?}"
+    );
+    let (_, metrics) = router.get("/metrics");
+    assert!(
+        prometheus_counter(&metrics, "horizon_cluster_saturated") >= 1,
+        "{metrics}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cluster_flag_validation_fails_loudly() {
     let cases: &[&[&str]] = &[

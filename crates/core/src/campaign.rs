@@ -5,9 +5,7 @@
 //! paper's perf-counter experiments on seven physical systems.
 
 use horizon_trace::WorkloadProfile;
-use horizon_uarch::{
-    CoreSimulator, Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport,
-};
+use horizon_uarch::{Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport};
 use horizon_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, RwLock};
@@ -115,9 +113,9 @@ impl Campaign {
     /// steps every machine per instruction (see
     /// [`horizon_uarch::FleetSimulator`]) — fanning rows out across
     /// threads. Bypasses any installed executor (executors use
-    /// [`Campaign::measure_one`] / [`Campaign::measure_fleet`] instead, so
-    /// there is no recursion hazard either way).
-    pub fn measure_profiles_builtin(
+    /// [`Campaign::measure_fleet`] instead, so there is no recursion
+    /// hazard either way).
+    fn measure_profiles_builtin(
         &self,
         profiles: &[WorkloadProfile],
         machines: &[MachineConfig],
@@ -165,10 +163,12 @@ impl Campaign {
     }
 
     /// Simulates one workload on a whole fleet of machines from a single
-    /// trace expansion — bit-identical to calling
-    /// [`Campaign::measure_one`] once per machine, but the trace streams
-    /// once and structures shared between machine configurations are
-    /// simulated once (see [`horizon_uarch::FleetSimulator`]).
+    /// trace expansion — the primitive every backend is built from. The
+    /// trace streams once and structures shared between machine
+    /// configurations are simulated once (see
+    /// [`horizon_uarch::FleetSimulator`]). Fully deterministic: each
+    /// machine's result depends only on `(profile, machine, instructions,
+    /// warmup, seed)`, whichever other machines share the fleet.
     pub fn measure_fleet(
         &self,
         profile: &WorkloadProfile,
@@ -184,19 +184,6 @@ impl Campaign {
                 Measurement { counters, power }
             })
             .collect()
-    }
-
-    /// Simulates a single (workload, machine) cell — the primitive every
-    /// backend is built from. Fully deterministic: the result depends only
-    /// on `(profile, machine, instructions, warmup, seed)`.
-    pub fn measure_one(&self, profile: &WorkloadProfile, machine: &MachineConfig) -> Measurement {
-        let counters = CoreSimulator::new(machine).with_warmup(self.warmup).run(
-            profile,
-            self.instructions,
-            self.seed,
-        );
-        let power = PowerModel::for_machine(machine).estimate(&counters, machine);
-        Measurement { counters, power }
     }
 }
 

@@ -1,12 +1,110 @@
-//! Plain-text table rendering shared by the reproduction binaries.
+//! Experiment reports: typed [`Report`]s and their plain-text rendering.
+//! [`crate::report_v1`] projects the same reports into JSON.
+
+use std::fmt;
+
+/// One block of a [`Report`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Block {
+    /// Verbatim text: titles, captions, notes, dendrograms, plots.
+    Text(String),
+    /// A table rendered by [`format_table`].
+    Table {
+        /// Column headers, left to right.
+        columns: Vec<String>,
+        /// Data rows as rendered: each has one cell per column.
+        rows: Vec<Vec<String>>,
+    },
+    /// A representative subset, rendered `{context} (subset: a, b, c)`.
+    Subset {
+        /// What the subset covers (e.g. a sub-suite name).
+        context: String,
+        /// Member benchmark names.
+        members: Vec<String>,
+    },
+    /// An error statistic, rendered `average error {:.1}%, max {:.1}%`.
+    ErrorStat {
+        /// Average error, percent.
+        average_pct: f64,
+        /// Maximum error, percent.
+        max_pct: f64,
+    },
+}
+
+impl fmt::Display for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Block::Text(text) => f.write_str(text),
+            Block::Table { columns, rows } => f.write_str(&format_table(columns, rows)),
+            Block::Subset { context, members } => {
+                writeln!(f, "{context} (subset: {})", members.join(", "))
+            }
+            Block::ErrorStat {
+                average_pct,
+                max_pct,
+            } => writeln!(f, "average error {average_pct:.1}%, max {max_pct:.1}%"),
+        }
+    }
+}
+
+/// An experiment report: its blocks, in print order. `Display` renders
+/// the text report. Blocks are added only through the methods below,
+/// which keep every table row one cell per column.
+#[must_use]
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    pub(crate) blocks: Vec<Block>,
+}
+
+impl Report {
+    /// Appends verbatim text.
+    pub fn text(self, text: impl Into<String>) -> Report {
+        self.push(Block::Text(text.into()))
+    }
+
+    /// Appends a table, with each row padded or cut to the header's width
+    /// as [`format_table`] prints it.
+    pub fn table(self, headers: &[&str], mut rows: Vec<Vec<String>>) -> Report {
+        for row in &mut rows {
+            row.resize(headers.len(), String::new());
+        }
+        let columns = headers.iter().map(|h| h.to_string()).collect();
+        self.push(Block::Table { columns, rows })
+    }
+
+    /// Appends a subset callout.
+    pub fn subset(self, context: impl Into<String>, members: &[String]) -> Report {
+        let (context, members) = (context.into(), members.to_vec());
+        self.push(Block::Subset { context, members })
+    }
+
+    /// Appends an error statistic.
+    pub fn error_stat(self, average_pct: f64, max_pct: f64) -> Report {
+        self.push(Block::ErrorStat {
+            average_pct,
+            max_pct,
+        })
+    }
+
+    fn push(mut self, block: Block) -> Report {
+        self.blocks.push(block);
+        self
+    }
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.blocks.iter().try_for_each(|b| write!(f, "{b}"))
+    }
+}
 
 /// Renders a monospace table with a header row and `-` separator.
 ///
 /// Columns are sized to the widest cell; all rows are padded/truncated to
 /// the header's column count.
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub fn format_table(headers: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (c, width) in widths.iter_mut().enumerate() {
             let cell = row.get(c).map(String::as_str).unwrap_or("");
@@ -24,7 +122,10 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         }
         line.trim_end().to_string()
     };
-    out.push_str(&render_row(headers.to_vec(), &widths));
+    out.push_str(&render_row(
+        headers.iter().map(AsRef::as_ref).collect(),
+        &widths,
+    ));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
     out.push('\n');

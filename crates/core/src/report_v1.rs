@@ -1,11 +1,11 @@
 //! Schema-versioned structured reports (`report_v1`).
 //!
-//! Every experiment renders a plain-text report (see [`crate::report`]);
-//! `repro serve` additionally exposes a machine-readable JSON view of the
-//! same content. [`ReportV1`] is that view: it is *derived from the
-//! rendered text* by [`ReportV1::from_text`], so the structured report can
-//! never disagree with the text report, and the `?format=text` path stays
-//! byte-identical to batch stdout by construction.
+//! Every experiment builds one typed [`Report`] (see [`crate::report`]).
+//! Its `Display` is the plain-text report; `repro serve` additionally
+//! exposes a machine-readable JSON view of the same report. [`ReportV1`]
+//! is that view: [`ReportV1::from_report`] projects it from the report's
+//! blocks, so the tables, subsets and error statistics in the JSON are
+//! the values the text prints, not values parsed back out of the text.
 //!
 //! # Schema stability
 //!
@@ -17,6 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::report::{Block, Report};
+
 /// Version of the structured report schema. Bumped on breaking changes.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
@@ -24,9 +26,9 @@ pub const REPORT_SCHEMA_VERSION: u32 = 1;
 /// strings the text report prints (units and formatting included).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportTableV1 {
-    /// The non-empty line immediately preceding the table in the text
-    /// report (a caption like `Table V: …`), empty when the table opens
-    /// the report.
+    /// The nearest non-empty line before the table in the text report (a
+    /// caption like `Table V: …`, or a subset callout's context), empty
+    /// when the table opens the report.
     pub section: String,
     /// Column headers, left to right.
     pub columns: Vec<String>,
@@ -49,9 +51,9 @@ pub struct ErrorStatV1 {
     /// The report context the statistic belongs to (nearest preceding
     /// caption or subset line).
     pub context: String,
-    /// Average error, percent.
+    /// Average error, percent (the text prints it to one decimal).
     pub average_pct: f64,
-    /// Maximum error, percent.
+    /// Maximum error, percent (the text prints it to one decimal).
     pub max_pct: f64,
 }
 
@@ -75,48 +77,18 @@ pub struct ReportV1 {
     pub notes: Vec<String>,
 }
 
-/// True for the all-dash rule `format_table` prints under its header.
-fn is_separator(line: &str) -> bool {
-    line.len() >= 3 && line.chars().all(|c| c == '-')
-}
-
-/// Splits a rendered table line into cells on runs of 2+ spaces.
-fn split_cells(line: &str) -> Vec<String> {
-    line.split("  ")
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-/// Parses `average error X%, max Y%` lines.
-fn parse_error_stat(line: &str) -> Option<(f64, f64)> {
-    let rest = line.trim().strip_prefix("average error ")?;
-    let (avg, rest) = rest.split_once("%, max ")?;
-    let max = rest.trim_end().strip_suffix('%')?;
-    Some((avg.trim().parse().ok()?, max.trim().parse().ok()?))
-}
-
-/// Parses `context (subset: a, b, c)` lines.
-fn parse_subset(line: &str) -> Option<SubsetV1> {
-    let (context, rest) = line.split_once("(subset: ")?;
-    let members = rest.strip_suffix(')')?;
-    Some(SubsetV1 {
-        context: context.trim().to_string(),
-        members: members.split(", ").map(str::to_string).collect(),
-    })
-}
-
 impl ReportV1 {
-    /// Builds the structured view of a rendered text report.
+    /// Projects a typed report into the structured view.
     ///
-    /// Tables are recognized by `format_table`'s layout (a header line
-    /// followed by an all-dash rule); subset and error callouts by their
-    /// fixed phrasing. Everything else lands in `notes` verbatim, so the
-    /// structured report carries the full content of the text report.
-    pub fn from_text(experiment: &str, text: &str) -> ReportV1 {
-        let lines: Vec<&str> = text.lines().collect();
-        let mut report = ReportV1 {
+    /// Tables, subsets and error statistics come from their blocks. Text
+    /// blocks are read line by line: the first non-empty line is the
+    /// title, and every later one is a note. A table's `section` and an
+    /// error statistic's `context` is the nearest non-empty line before
+    /// it, or the context of a subset callout in that place. Subset and
+    /// error lines are notes too, so the notes hold every non-table line
+    /// of the text report except the title.
+    pub fn from_report(experiment: &str, report: &Report) -> ReportV1 {
+        let mut out = ReportV1 {
             schema_version: REPORT_SCHEMA_VERSION,
             experiment: experiment.to_string(),
             title: String::new(),
@@ -126,55 +98,50 @@ impl ReportV1 {
             notes: Vec::new(),
         };
         let mut context = String::new();
-        let mut i = 0;
-        while i < lines.len() {
-            let line = lines[i];
-            // A table: `header / ---- / rows…` — the header is the line
-            // *before* the separator.
-            if i + 1 < lines.len() && is_separator(lines[i + 1]) && !line.trim().is_empty() {
-                let columns = split_cells(line);
-                let mut rows = Vec::new();
-                let mut j = i + 2;
-                while j < lines.len() && !lines[j].trim().is_empty() && !is_separator(lines[j]) {
-                    let mut cells = split_cells(lines[j]);
-                    cells.resize(columns.len(), String::new());
-                    rows.push(cells);
-                    j += 1;
+        for block in &report.blocks {
+            // A subset or error line, as the text prints it.
+            let line = || block.to_string().trim_end_matches('\n').to_string();
+            match block {
+                Block::Text(text) => {
+                    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+                        if out.title.is_empty() {
+                            out.title = line.to_string();
+                        } else {
+                            out.notes.push(line.to_string());
+                        }
+                        context = line.to_string();
+                    }
                 }
-                report.tables.push(ReportTableV1 {
+                Block::Table { columns, rows } => out.tables.push(ReportTableV1 {
                     section: context.clone(),
-                    columns,
-                    rows,
-                });
-                i = j;
-                continue;
-            }
-            if line.trim().is_empty() {
-                i += 1;
-                continue;
-            }
-            if report.title.is_empty() {
-                report.title = line.to_string();
-                context = line.to_string();
-                i += 1;
-                continue;
-            }
-            if let Some(subset) = parse_subset(line) {
-                context = subset.context.clone();
-                report.subsets.push(subset);
-            } else if let Some((average_pct, max_pct)) = parse_error_stat(line) {
-                report.errors.push(ErrorStatV1 {
-                    context: context.clone(),
+                    columns: columns.clone(),
+                    rows: rows.clone(),
+                }),
+                Block::Subset {
+                    context: covers,
+                    members,
+                } => {
+                    context.clone_from(covers);
+                    out.subsets.push(SubsetV1 {
+                        context: covers.clone(),
+                        members: members.clone(),
+                    });
+                    out.notes.push(line());
+                }
+                &Block::ErrorStat {
                     average_pct,
                     max_pct,
-                });
-            } else {
-                context = line.to_string();
+                } => {
+                    out.errors.push(ErrorStatV1 {
+                        context: context.clone(),
+                        average_pct,
+                        max_pct,
+                    });
+                    out.notes.push(line());
+                }
             }
-            report.notes.push(line.to_string());
-            i += 1;
         }
-        report
+        out
     }
 
     /// Checks the schema version.
@@ -210,62 +177,67 @@ impl ReportV1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::format_table;
 
-    fn sample_text() -> String {
-        let table = format_table(
-            &["Benchmark", "CPI"],
-            &[
-                vec!["600.perlbench_s".into(), "1.12".into()],
-                vec!["605.mcf_s".into(), "2.40".into()],
-            ],
-        );
-        format!(
-            "Table X: sample characterization\n\n{table}\nINT-speed (subset: 605.mcf_s, 625.x264_s)\naverage error 4.2%, max 9.9%\n"
-        )
+    fn sample() -> Report {
+        Report::default()
+            .text("Table X: sample characterization\n\n")
+            .subset("INT-speed", &["605.mcf_s".into(), "625.x264_s".into()])
+            .table(
+                &["Benchmark", "CPI"],
+                vec![
+                    vec!["600.perlbench_s".into(), "1.12".into()],
+                    vec!["605.mcf_s".into(), "2.40".into()],
+                ],
+            )
+            .error_stat(4.21, 9.9)
+            .text("\nfootnote\n")
     }
 
     #[test]
-    fn from_text_extracts_title_tables_subsets_and_errors() {
-        let r = ReportV1::from_text("tablex", &sample_text());
+    fn from_report_projects_title_tables_subsets_and_errors() {
+        let r = ReportV1::from_report("tablex", &sample());
         assert_eq!(r.schema_version, REPORT_SCHEMA_VERSION);
         assert_eq!(r.experiment, "tablex");
         assert_eq!(r.title, "Table X: sample characterization");
         assert_eq!(r.tables.len(), 1);
-        assert_eq!(r.tables[0].section, "Table X: sample characterization");
+        assert_eq!(r.tables[0].section, "INT-speed");
         assert_eq!(r.tables[0].columns, vec!["Benchmark", "CPI"]);
-        assert_eq!(r.tables[0].rows.len(), 2);
-        assert_eq!(r.tables[0].rows[1], vec!["605.mcf_s", "2.40"]);
+        assert_eq!(
+            r.tables[0].rows,
+            vec![vec!["600.perlbench_s", "1.12"], vec!["605.mcf_s", "2.40"]]
+        );
         assert_eq!(r.subsets.len(), 1);
         assert_eq!(r.subsets[0].context, "INT-speed");
         assert_eq!(r.subsets[0].members, vec!["605.mcf_s", "625.x264_s"]);
         assert_eq!(r.errors.len(), 1);
         assert_eq!(r.errors[0].context, "INT-speed");
-        assert!((r.errors[0].average_pct - 4.2).abs() < 1e-12);
-        assert!((r.errors[0].max_pct - 9.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn every_row_matches_the_column_count() {
-        let r = ReportV1::from_text("tablex", &sample_text());
-        for table in &r.tables {
-            for row in &table.rows {
-                assert_eq!(row.len(), table.columns.len());
-            }
-        }
+        assert_eq!(r.errors[0].average_pct, 4.21);
+        assert_eq!(r.errors[0].max_pct, 9.9);
+        assert_eq!(
+            r.notes,
+            vec![
+                "INT-speed (subset: 605.mcf_s, 625.x264_s)",
+                "average error 4.2%, max 9.9%",
+                "footnote",
+            ]
+        );
     }
 
     #[test]
     fn json_round_trip_preserves_the_report() {
-        let r = ReportV1::from_text("tablex", &sample_text());
+        let r = ReportV1::from_report("tablex", &sample());
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back = ReportV1::from_json(&json).unwrap();
         assert_eq!(back, r);
     }
 
+    fn title_only() -> ReportV1 {
+        ReportV1::from_report("tablex", &Report::default().text("Title only\n"))
+    }
+
     #[test]
     fn unknown_fields_are_tolerated() {
-        let r = ReportV1::from_text("tablex", "Title only\n");
+        let r = title_only();
         let json = serde_json::to_string(&r).unwrap();
         let extended = json.replacen('{', "{\"added_in_v2\": true, ", 1);
         let back = ReportV1::from_json(&extended).unwrap();
@@ -274,7 +246,7 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected() {
-        let r = ReportV1::from_text("tablex", "Title only\n");
+        let r = title_only();
         let json = serde_json::to_string(&r).unwrap();
         let bumped = json.replacen(
             &format!("\"schema_version\":{REPORT_SCHEMA_VERSION}"),

@@ -132,6 +132,7 @@ proptest! {
 }
 
 mod report_v1_props {
+    use horizon_core::report::{Block, Report};
     use horizon_core::report_v1::{
         ErrorStatV1, ReportTableV1, ReportV1, SubsetV1, REPORT_SCHEMA_VERSION,
     };
@@ -184,6 +185,33 @@ mod report_v1_props {
             )
     }
 
+    /// A table of 1–4 columns whose rows may be shorter or longer than
+    /// the header.
+    fn table() -> impl Strategy<Value = Block> {
+        (
+            proptest::collection::vec(WILD, 1..5),
+            proptest::collection::vec(proptest::collection::vec(WILD, 0..6), 0..4),
+        )
+            .prop_map(|(columns, rows)| Block::Table { columns, rows })
+    }
+
+    fn error() -> impl Strategy<Value = Block> {
+        (-1e9..1e9f64, -1e9..1e9f64).prop_map(|(average_pct, max_pct)| Block::ErrorStat {
+            average_pct,
+            max_pct,
+        })
+    }
+
+    fn block() -> impl Strategy<Value = Block> {
+        prop_oneof![
+            WILD.prop_map(Block::Text),
+            table(),
+            (WILD, proptest::collection::vec(WILD, 0..4))
+                .prop_map(|(context, members)| Block::Subset { context, members }),
+            error(),
+        ]
+    }
+
     proptest! {
         /// serialize → deserialize → identical report, for arbitrary
         /// content including quotes, backslashes and newlines.
@@ -194,42 +222,69 @@ mod report_v1_props {
             prop_assert_eq!(back, report);
         }
 
-        /// `from_text` accepts arbitrary text without panicking and always
-        /// produces a current-schema report whose rows match their table's
-        /// column count.
+        /// The projection returns exactly the tables, subsets and error
+        /// statistics the report was built from, every row has one cell
+        /// per column, and the JSON round-trips. Each case holds a table
+        /// directly followed by an error statistic, the shape of the
+        /// validation report.
         #[test]
-        fn from_text_never_panics_and_keeps_row_shape(text in "[a-zA-Z0-9 ._%()\n-]{0,300}") {
-            let r = ReportV1::from_text("exp", &text);
-            prop_assert_eq!(r.schema_version, REPORT_SCHEMA_VERSION);
-            prop_assert!(r.validate().is_ok());
+        fn from_report_keeps_every_block(
+            (before, table, error, after) in (
+                proptest::collection::vec(block(), 0..6),
+                table(),
+                error(),
+                proptest::collection::vec(block(), 0..6),
+            )
+        ) {
+            let count = |kind: fn(&Block) -> bool| before.iter().filter(|b| kind(b)).count();
+            let pair_table = count(|b| matches!(b, Block::Table { .. }));
+            let pair_error = count(|b| matches!(b, Block::ErrorStat { .. }));
+            let blocks: Vec<Block> = before.into_iter().chain([table, error]).chain(after).collect();
+            let mut report = Report::default();
+            let (mut tables, mut subsets, mut errors) = (Vec::new(), Vec::new(), Vec::new());
+            for block in blocks {
+                report = match block {
+                    Block::Text(text) => report.text(text),
+                    Block::Table { columns, rows } => {
+                        let headers: Vec<&str> = columns.iter().map(String::as_str).collect();
+                        let padded: Vec<Vec<String>> = rows
+                            .iter()
+                            .map(|row| {
+                                let mut row = row.clone();
+                                row.resize(columns.len(), String::new());
+                                row
+                            })
+                            .collect();
+                        let report = report.table(&headers, rows);
+                        tables.push((columns, padded));
+                        report
+                    }
+                    Block::Subset { context, members } => {
+                        subsets.push((context.clone(), members.clone()));
+                        report.subset(context, &members)
+                    }
+                    Block::ErrorStat { average_pct, max_pct } => {
+                        errors.push((average_pct, max_pct));
+                        report.error_stat(average_pct, max_pct)
+                    }
+                };
+            }
+            let r = ReportV1::from_report("exp", &report);
+            let got: Vec<_> = r.tables.iter().map(|t| (t.columns.clone(), t.rows.clone())).collect();
+            prop_assert_eq!(got, tables);
             for table in &r.tables {
                 for row in &table.rows {
                     prop_assert_eq!(row.len(), table.columns.len());
                 }
             }
-        }
-
-        /// Tables rendered by `format_table` are recovered cell-for-cell.
-        #[test]
-        fn from_text_recovers_rendered_tables(
-            (columns, rows) in (1..5usize).prop_flat_map(|cols| (
-                proptest::collection::vec("[a-zA-Z0-9_.%]{1,7}", cols..=cols),
-                proptest::collection::vec(
-                    proptest::collection::vec("[a-zA-Z0-9_.%]{1,7}", cols..=cols),
-                    1..4,
-                ),
-            ))
-        ) {
-            let headers: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let text = format!(
-                "Sample title\n\n{}",
-                horizon_core::report::format_table(&headers, &rows)
-            );
-            let r = ReportV1::from_text("exp", &text);
-            prop_assert_eq!(r.tables.len(), 1);
-            prop_assert_eq!(&r.tables[0].columns, &columns);
-            prop_assert_eq!(&r.tables[0].rows, &rows);
-            prop_assert_eq!(&r.tables[0].section, "Sample title");
+            let got: Vec<_> = r.subsets.iter().map(|s| (s.context.clone(), s.members.clone())).collect();
+            prop_assert_eq!(got, subsets);
+            let got: Vec<_> = r.errors.iter().map(|e| (e.average_pct, e.max_pct)).collect();
+            prop_assert_eq!(got, errors);
+            // The statistic after the table belongs to the table's section.
+            prop_assert_eq!(&r.errors[pair_error].context, &r.tables[pair_table].section);
+            let json = serde_json::to_string(&r).unwrap();
+            prop_assert_eq!(ReportV1::from_json(&json).unwrap(), r);
         }
     }
 }

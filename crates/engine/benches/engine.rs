@@ -3,7 +3,8 @@
 //!
 //! Three configurations over the same 4-workload × 2-machine grid:
 //!
-//! - `direct` — `Campaign::measure_profiles_builtin`, no engine.
+//! - `direct` — `Campaign::measure_profiles` with no executor installed:
+//!   the builtin backend, no engine.
 //! - `engine_cold` — a fresh `Engine` per iteration: fingerprinting,
 //!   scheduling and memo bookkeeping on top of the same simulations.
 //! - `engine_warm` — a persistent `Engine`: every job memo-hits, so this
@@ -44,7 +45,7 @@ fn bench_engine_vs_direct(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
 
     group.bench_function("direct", |b| {
-        b.iter(|| campaign.measure_profiles_builtin(&profiles, &machines))
+        b.iter(|| campaign.measure_profiles(&profiles, &machines))
     });
 
     group.bench_function("engine_cold", |b| {

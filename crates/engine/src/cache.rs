@@ -184,7 +184,7 @@ mod tests {
         let profile = horizon_workloads::cpu2017::all()[0].profile().clone();
         let machine = MachineConfig::skylake_i7_6700();
         let fp = Fingerprint::of_job(&campaign, &profile, &machine);
-        let m = campaign.measure_one(&profile, &machine);
+        let m = campaign.measure_fleet(&profile, &[machine]).remove(0);
         (fp, m)
     }
 
@@ -242,7 +242,7 @@ mod tests {
     /// Distinct fingerprints over the same measurement, for filling a cache.
     fn sample_entries(n: u64) -> Vec<(Fingerprint, Measurement)> {
         let profile = horizon_workloads::cpu2017::all()[0].profile().clone();
-        let machine = MachineConfig::skylake_i7_6700();
+        let machines = [MachineConfig::skylake_i7_6700()];
         (0..n)
             .map(|seed| {
                 let campaign = Campaign {
@@ -250,8 +250,8 @@ mod tests {
                     warmup: 5_000,
                     seed,
                 };
-                let fp = Fingerprint::of_job(&campaign, &profile, &machine);
-                let m = campaign.measure_one(&profile, &machine);
+                let fp = Fingerprint::of_job(&campaign, &profile, &machines[0]);
+                let m = campaign.measure_fleet(&profile, &machines).remove(0);
                 (fp, m)
             })
             .collect()

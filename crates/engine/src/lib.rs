@@ -13,8 +13,8 @@
 //!    scheduling), and workers claim them through an atomic cursor, so a
 //!    slow job (e.g. a 43rd workload on the largest machine) never idles
 //!    the other threads the way per-call static chunking did. Worker count
-//!    comes from an explicit override ([`Engine::with_jobs`]), else
-//!    `HORIZON_JOBS`, else the machine's available parallelism.
+//!    comes from an explicit override ([`Engine::with_jobs`]), else the
+//!    machine's available parallelism.
 //! 3. **Memoization** — results are kept in an in-memory memo table and,
 //!    optionally, an on-disk JSON cache ([`DiskCache`]), so each unique
 //!    job simulates exactly once per process (and at most once per cache
@@ -108,11 +108,10 @@ type ProgressCallback = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 /// The execution engine. Cheap to construct; hold one for the process
 /// lifetime to maximize memoization.
 pub struct Engine {
-    /// Pinned worker count; `0` means "unset" (fall back to `HORIZON_JOBS`
-    /// or auto-detection). Atomic so long-lived holders (the `repro serve`
-    /// daemon) can retune a shared engine between requests; determinism
-    /// guarantees the setting only affects wall clock, never results.
-    jobs: AtomicUsize,
+    /// Pinned worker count; `None` means the available parallelism.
+    /// Determinism guarantees the setting only affects wall clock, never
+    /// results.
+    jobs: Option<usize>,
     disk: Option<DiskCache>,
     memo: Mutex<HashMap<Fingerprint, Measurement>>,
     inflight: InflightTable,
@@ -131,7 +130,7 @@ impl Engine {
     /// and a private telemetry recorder.
     pub fn new() -> Self {
         Engine {
-            jobs: AtomicUsize::new(0),
+            jobs: None,
             disk: None,
             memo: Mutex::new(HashMap::new()),
             inflight: InflightTable::default(),
@@ -140,29 +139,16 @@ impl Engine {
         }
     }
 
-    /// Pins the worker count (overrides `HORIZON_JOBS` and auto-detection).
+    /// Pins the worker count (overrides auto-detection).
     ///
     /// # Panics
     ///
     /// Panics if `jobs` is zero.
     #[must_use]
-    pub fn with_jobs(self, jobs: usize) -> Self {
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
         assert!(jobs > 0, "worker count must be positive");
-        self.jobs.store(jobs, Ordering::Relaxed);
+        self.jobs = Some(jobs);
         self
-    }
-
-    /// Retunes the worker count of a live engine (`None` restores
-    /// `HORIZON_JOBS`/auto-detection). Results are unaffected — campaign
-    /// output is bit-identical across worker counts — so concurrent callers
-    /// can only influence each other's wall clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is `Some(0)`.
-    pub fn set_jobs(&self, jobs: Option<usize>) {
-        assert!(jobs != Some(0), "worker count must be positive");
-        self.jobs.store(jobs.unwrap_or(0), Ordering::Relaxed);
     }
 
     /// Attaches an on-disk cache rooted at `dir`.
@@ -257,26 +243,17 @@ impl Engine {
 
     /// The worker count the engine would use for `pending` runnable jobs.
     pub fn worker_count(&self, pending: usize) -> usize {
-        let pinned = self.jobs.load(Ordering::Relaxed);
-        let configured = (pinned > 0)
-            .then_some(pinned)
-            .or_else(|| {
-                std::env::var("HORIZON_JOBS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-            })
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        configured.max(1).min(pending.max(1))
+        let configured = self.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        configured.min(pending.max(1))
     }
 
     /// Measures the full grid, deduplicating, memoizing and running misses
-    /// on the work-stealing pool. Semantically identical to
-    /// `Campaign::measure_profiles_builtin`, bit for bit.
+    /// on the work-stealing pool. Bit-identical to the builtin backend of
+    /// `Campaign::measure_profiles`.
     pub fn measure_profiles(
         &self,
         campaign: &Campaign,
