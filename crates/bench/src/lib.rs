@@ -784,6 +784,10 @@ pub fn fig_13(cfg: &ReproConfig) -> Result<Report, CoreError> {
         analysis.render_dendrogram()?
     ));
     // Headline claims of §V-D/E/F.
+    let cpu2017_names: Vec<String> = cpu2017::all()
+        .iter()
+        .map(|b| b.name().to_string())
+        .collect();
     for probe in [
         "175.vpr",
         "300.twolf",
@@ -794,12 +798,7 @@ pub fn fig_13(cfg: &ReproConfig) -> Result<Report, CoreError> {
     ] {
         let i = analysis.index_of(probe)?;
         let (nearest, dist) = (0..analysis.names().len())
-            .filter(|&j| {
-                j != i
-                    && cpu2017::all()
-                        .iter()
-                        .any(|b| b.name() == analysis.names()[j])
-            })
+            .filter(|&j| j != i && cpu2017_names.contains(&analysis.names()[j]))
             .map(|j| (analysis.names()[j].clone(), analysis.distances().get(i, j)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .expect("non-empty");

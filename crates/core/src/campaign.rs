@@ -5,7 +5,7 @@
 //! paper's perf-counter experiments on seven physical systems.
 
 use horizon_trace::WorkloadProfile;
-use horizon_uarch::{Counters, FleetSimulator, MachineConfig, PowerModel, PowerReport};
+use horizon_uarch::{Counters, CpiStack, FleetSimulator, MachineConfig, PowerModel, PowerReport};
 use horizon_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, RwLock};
@@ -53,6 +53,22 @@ pub struct Measurement {
     pub counters: Counters,
     /// RAPL-style power estimate.
     pub power: PowerReport,
+}
+
+impl Measurement {
+    /// The measurement of `machine` from `counters` simulated on any
+    /// machine with the same [`MachineConfig::microarchitecture`]: sets
+    /// the clock, recomputes the CPI stack and estimates power for
+    /// `machine`. All three read only the structural counters and the
+    /// machine, so the result is bit-identical to simulating `machine`
+    /// itself — which is what lets one simulated job serve every machine
+    /// that differs only in name, ISA, clock, issue width or latencies.
+    pub fn for_machine(mut counters: Counters, machine: &MachineConfig) -> Measurement {
+        counters.freq_ghz = machine.freq_ghz;
+        counters.cpi_stack = CpiStack::compute(&counters, machine);
+        let power = PowerModel::for_machine(machine).estimate(&counters, machine);
+        Measurement { counters, power }
+    }
 }
 
 /// Campaign configuration: simulation window, warmup and seed.
@@ -179,10 +195,7 @@ impl Campaign {
             .run(profile, self.instructions, self.seed)
             .into_iter()
             .zip(machines)
-            .map(|(counters, machine)| {
-                let power = PowerModel::for_machine(machine).estimate(&counters, machine);
-                Measurement { counters, power }
-            })
+            .map(|(counters, machine)| Measurement::for_machine(counters, machine))
             .collect()
     }
 }

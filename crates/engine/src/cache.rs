@@ -92,7 +92,7 @@ impl DiskCache {
             fingerprint: fingerprint.as_str().to_string(),
             measurement: measurement.clone(),
         };
-        let Ok(text) = serde_json::to_string_pretty(&entry) else {
+        let Ok(text) = serde_json::to_string(&entry) else {
             return false;
         };
         let path = self.entry_path(fingerprint);
@@ -222,11 +222,16 @@ mod tests {
         assert!(cache.load(&fp).is_none());
 
         // Valid JSON, stale schema version.
-        std::fs::write(&path, full.replacen("\"version\": 1", "\"version\": 0", 1)).unwrap();
+        let current = format!("\"version\":{SCHEMA_VERSION}");
+        let stale = full.replacen(&current, &format!("\"version\":{}", SCHEMA_VERSION - 1), 1);
+        assert_ne!(stale, full, "{current} not found in the stored entry");
+        std::fs::write(&path, stale).unwrap();
         assert!(cache.load(&fp).is_none());
 
         // Valid JSON, wrong fingerprint (renamed file).
-        std::fs::write(&path, full.replace(fp.as_str(), &"0".repeat(32))).unwrap();
+        let renamed = full.replace(fp.as_str(), &"0".repeat(32));
+        assert_ne!(renamed, full);
+        std::fs::write(&path, renamed).unwrap();
         assert!(cache.load(&fp).is_none());
 
         // Not JSON at all.

@@ -1,39 +1,44 @@
 //! Content fingerprints for simulation jobs.
 //!
-//! A job is one `(workload profile, machine config, window, warmup, seed)`
-//! quintuple. Its fingerprint is a 128-bit FNV-1a hash of the quintuple's
-//! canonical JSON encoding, so two jobs share a fingerprint exactly when
-//! every simulation input matches — the memo table and the on-disk cache
-//! key on it. The encoding includes a schema version, so any change to the
-//! serialized shape of profiles or machines invalidates old cache entries
-//! instead of silently aliasing them.
+//! A job is what the fleet kernel simulates: one workload profile on one
+//! microarchitecture ([`MachineConfig::microarchitecture`]: the cache
+//! hierarchy, TLB hierarchy and branch predictor) over one window, warmup
+//! and seed. Machines that differ only in name, ISA, clock, issue width or
+//! latencies share a job; each grid cell derives its own clock, CPI stack
+//! and power from the job's counters
+//! (`horizon_core::campaign::Measurement::for_machine`).
+//!
+//! The fingerprint is a 128-bit FNV-1a hash of
+//! `schema=2;instructions=…;warmup=…;seed=…;profile=<digest>;uarch=<digest>`,
+//! where each digest is the same hash (32 hex digits) of the input's
+//! canonical JSON. Both digests are fixed-width, so the string is
+//! injective, and the engine digests each profile and each machine once
+//! per campaign call instead of serializing them again for every cell. The
+//! memo table and the on-disk cache key on the fingerprint; the schema
+//! version invalidates old cache entries when the encoding changes instead
+//! of silently aliasing them.
 
 use horizon_core::campaign::Campaign;
 use horizon_trace::WorkloadProfile;
 use horizon_uarch::MachineConfig;
-use serde::{Serialize, Value};
 
 /// Bump when the fingerprint encoding (or the meaning of a cached
 /// measurement) changes; old disk-cache entries then miss cleanly.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// A job's content fingerprint: 32 lowercase hex digits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(String);
 
 impl Fingerprint {
-    /// Fingerprints one simulation job.
+    /// Fingerprints one simulation job: `profile` on `machine`'s
+    /// microarchitecture.
     pub fn of_job(campaign: &Campaign, profile: &WorkloadProfile, machine: &MachineConfig) -> Self {
-        let key = Value::Map(vec![
-            ("schema".to_string(), SCHEMA_VERSION.to_value()),
-            ("instructions".to_string(), campaign.instructions.to_value()),
-            ("warmup".to_string(), campaign.warmup.to_value()),
-            ("seed".to_string(), campaign.seed.to_value()),
-            ("profile".to_string(), profile.to_value()),
-            ("machine".to_string(), machine.to_value()),
-        ]);
-        let canonical = serde_json::to_string(&key).expect("canonical key serializes");
-        Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
+        compose(
+            campaign,
+            &profile_digest(profile),
+            Some(&uarch_digest(machine)),
+        )
     }
 
     /// Fingerprints the trace-defining inputs of a job — the campaign
@@ -43,15 +48,7 @@ impl Fingerprint {
     /// batch (see `horizon_uarch::FleetSimulator`) without changing any
     /// result.
     pub fn of_profile(campaign: &Campaign, profile: &WorkloadProfile) -> Self {
-        let key = Value::Map(vec![
-            ("schema".to_string(), SCHEMA_VERSION.to_value()),
-            ("instructions".to_string(), campaign.instructions.to_value()),
-            ("warmup".to_string(), campaign.warmup.to_value()),
-            ("seed".to_string(), campaign.seed.to_value()),
-            ("profile".to_string(), profile.to_value()),
-        ]);
-        let canonical = serde_json::to_string(&key).expect("canonical key serializes");
-        Fingerprint(fnv1a_128_hex(canonical.as_bytes()))
+        compose(campaign, &profile_digest(profile), None)
     }
 
     /// Fingerprints an arbitrary canonical byte string with the same
@@ -77,6 +74,37 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
+/// Digest of a profile's canonical JSON.
+pub(crate) fn profile_digest(profile: &WorkloadProfile) -> Fingerprint {
+    let canonical = serde_json::to_string(profile).expect("profile serializes");
+    Fingerprint::of_canonical(canonical.as_bytes())
+}
+
+/// Digest of the canonical JSON of a machine's simulated part,
+/// [`MachineConfig::microarchitecture`].
+pub(crate) fn uarch_digest(machine: &MachineConfig) -> Fingerprint {
+    let canonical =
+        serde_json::to_string(&machine.microarchitecture()).expect("microarchitecture serializes");
+    Fingerprint::of_canonical(canonical.as_bytes())
+}
+
+/// The job key from pre-computed digests; `uarch: None` keys the trace
+/// alone ([`Fingerprint::of_profile`]).
+pub(crate) fn compose(
+    campaign: &Campaign,
+    profile: &Fingerprint,
+    uarch: Option<&Fingerprint>,
+) -> Fingerprint {
+    let key = format!(
+        "schema={SCHEMA_VERSION};instructions={};warmup={};seed={};profile={profile};uarch={}",
+        campaign.instructions,
+        campaign.warmup,
+        campaign.seed,
+        uarch.map_or("-", Fingerprint::as_str),
+    );
+    Fingerprint::of_canonical(key.as_bytes())
+}
+
 /// 128-bit FNV-1a, rendered as 32 hex digits.
 fn fnv1a_128_hex(bytes: &[u8]) -> String {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -92,6 +120,7 @@ fn fnv1a_128_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use horizon_uarch::{CacheConfig, Isa, LatencyModel, PredictorKind, TlbConfig};
 
     fn sample_inputs() -> (Campaign, WorkloadProfile, MachineConfig) {
         let campaign = Campaign::quick();
@@ -141,6 +170,69 @@ mod tests {
         assert_ne!(base, Fingerprint::of_job(&c, &p, &other_machine));
     }
 
+    /// Name, ISA, clock, issue width and latencies never reach the
+    /// simulator, so a machine that differs only there shares the job.
+    #[test]
+    fn ignores_fields_outside_the_microarchitecture() {
+        let (c, p, m) = sample_inputs();
+        let base = Fingerprint::of_job(&c, &p, &m);
+        let variants = [
+            MachineConfig {
+                name: "Vendor-A Workstation 3.8GHz".into(),
+                ..m.clone()
+            },
+            MachineConfig {
+                isa: Isa::Sparc,
+                ..m.clone()
+            },
+            MachineConfig {
+                freq_ghz: 3.8,
+                ..m.clone()
+            },
+            MachineConfig {
+                issue_width: 2.0,
+                ..m.clone()
+            },
+            MachineConfig {
+                latency: LatencyModel::default(),
+                ..m.clone()
+            },
+        ];
+        for variant in &variants {
+            assert_ne!(*variant, m);
+            assert_eq!(Fingerprint::of_job(&c, &p, variant), base, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn sensitive_to_each_microarchitecture_field() {
+        let (c, p, m) = sample_inputs();
+        let base = Fingerprint::of_job(&c, &p, &m);
+        let mut hierarchy = m.clone();
+        hierarchy.hierarchy.l3 = Some(CacheConfig::new(16 << 20, 16));
+        let mut tlb = m.clone();
+        tlb.tlb.l1d = TlbConfig::new(32, 4);
+        let predictor = m.with_predictor(PredictorKind::Bimodal { table_bits: 10 });
+        for variant in [hierarchy, tlb, predictor] {
+            assert_ne!(Fingerprint::of_job(&c, &p, &variant), base, "{variant:?}");
+        }
+    }
+
+    /// The engine composes keys from digests it computes once per call;
+    /// the public constructors must agree with that composition.
+    #[test]
+    fn per_call_composition_matches_the_public_keys() {
+        let (c, p, _) = sample_inputs();
+        let profile = profile_digest(&p);
+        for m in MachineConfig::table_iv_machines() {
+            assert_eq!(
+                compose(&c, &profile, Some(&uarch_digest(&m))),
+                Fingerprint::of_job(&c, &p, &m)
+            );
+        }
+        assert_eq!(compose(&c, &profile, None), Fingerprint::of_profile(&c, &p));
+    }
+
     #[test]
     fn canonical_digest_is_stable_and_input_sensitive() {
         let a = Fingerprint::of_canonical(b"route:table1:quick");
@@ -157,11 +249,11 @@ mod tests {
         let (c, p, m) = sample_inputs();
         assert_eq!(
             Fingerprint::of_job(&c, &p, &m).as_str(),
-            "285852e5460b2309e0a371376c60ed33"
+            "903d4910098717d0400b3ac897bd5f52"
         );
         assert_eq!(
             Fingerprint::of_profile(&c, &p).as_str(),
-            "1fcd381a7c492b226f81ea8680290d59"
+            "b26a915cf90cfed0653cadc99f2bad9a"
         );
     }
 

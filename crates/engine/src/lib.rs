@@ -6,8 +6,13 @@
 //! replaces that with a three-layer engine:
 //!
 //! 1. **Expansion + deduplication** — a campaign expands into jobs keyed
-//!    by a content [`Fingerprint`] of `(workload profile, machine config,
-//!    window, warmup, seed)`; identical cells collapse to one job.
+//!    by a content [`Fingerprint`] of `(workload profile, microarchitecture,
+//!    window, warmup, seed)`, computed from digests of each profile and
+//!    machine taken once per call. Cells whose machines differ only
+//!    outside the simulated part
+//!    ([`MachineConfig::microarchitecture`]) collapse to one job, and each
+//!    cell derives its own clock, CPI stack and power from the job's
+//!    counters ([`Measurement::for_machine`]).
 //! 2. **Work stealing** — pending jobs land in a flat vector, sorted
 //!    largest-estimated-cost-first ([`estimated_cost`], classic LPT
 //!    scheduling), and workers claim them through an atomic cursor, so a
@@ -32,13 +37,14 @@
 //! # Determinism
 //!
 //! Campaign results are **bit-identical regardless of thread count, job
-//! ordering, or cache state**. This holds because each job's measurement
-//! is a pure function of its fingerprinted inputs: simulation is
-//! deterministic given `(profile, machine, window, warmup, seed)`; workers
-//! share nothing but the job queue; the JSON cache round-trips every
-//! counter and float losslessly (text-preserved integers,
-//! shortest-round-trip floats); and grids are assembled by cell index, not
-//! completion order. Scheduling and caching decide only *when and whether*
+//! ordering, or cache state**. This holds because each job's structural
+//! counters are a pure function of its fingerprinted inputs: simulation is
+//! deterministic given `(profile, microarchitecture, window, warmup,
+//! seed)`, and a cell's remaining fields are a pure function of those
+//! counters and the cell's machine; workers share nothing but the job
+//! queue; the JSON cache round-trips every counter and float losslessly
+//! (text-preserved integers, shortest-round-trip floats); and grids are
+//! assembled by cell index, not completion order. Scheduling and caching decide only *when and whether*
 //! a job is simulated, never *what it computes*.
 //!
 //! # Telemetry
@@ -268,17 +274,24 @@ impl Engine {
         // their own threads (the id is thread-local, not inherited).
         let run = horizon_telemetry::current_run_id();
 
-        // Phase 1: expand the grid into de-duplicated jobs.
+        // Phase 1: expand the grid into de-duplicated jobs. Each profile
+        // and each machine is digested once per call; a cell's key is one
+        // short hash over the two digests, and cells whose machines share
+        // a microarchitecture share a job.
         let expand_span = rec.phase_span("engine.expand");
+        let profile_digests: Vec<Fingerprint> =
+            profiles.iter().map(fingerprint::profile_digest).collect();
+        let uarch_digests: Vec<Fingerprint> =
+            machines.iter().map(fingerprint::uarch_digest).collect();
         let mut job_index: HashMap<Fingerprint, usize> = HashMap::new();
         // job id -> (profile index, machine index) of its first occurrence.
         let mut jobs: Vec<(usize, usize)> = Vec::new();
         let mut fingerprints: Vec<Fingerprint> = Vec::new();
         let mut cell_jobs: Vec<Vec<usize>> = Vec::with_capacity(profiles.len());
-        for (w, profile) in profiles.iter().enumerate() {
+        for (w, profile_digest) in profile_digests.iter().enumerate() {
             let mut row = Vec::with_capacity(machines.len());
-            for (m, machine) in machines.iter().enumerate() {
-                let fp = Fingerprint::of_job(campaign, profile, machine);
+            for (m, uarch_digest) in uarch_digests.iter().enumerate() {
+                let fp = fingerprint::compose(campaign, profile_digest, Some(uarch_digest));
                 let id = *job_index.entry(fp.clone()).or_insert_with(|| {
                     jobs.push((w, m));
                     fingerprints.push(fp);
@@ -362,11 +375,11 @@ impl Engine {
 
         // Phase 3: simulate the misses on the work-stealing pool, grouped
         // into fleet batches. Jobs whose trace-defining inputs match —
-        // same profile content, window, warmup and seed
-        // ([`Fingerprint::of_profile`]) — replay the identical instruction
-        // stream, so one `Campaign::measure_fleet` call simulates all
-        // their machines in a single streaming pass, bit-identical to
-        // per-job simulation. Workers claim whole batches through an
+        // one call has one window, warmup and seed, so jobs with equal
+        // profile digests share [`Fingerprint::of_profile`] — replay the
+        // identical instruction stream, so one `Campaign::measure_fleet`
+        // call simulates all their machines in a single streaming pass,
+        // bit-identical to per-job simulation. Workers claim whole batches through an
         // atomic cursor; per-job results land in per-job slots, so
         // ordering never matters for the output. Batches are sorted
         // largest-estimated-cost-first (LPT) so the longest batch starts
@@ -378,14 +391,14 @@ impl Engine {
             .iter()
             .map(|p| estimated_cost(campaign, p))
             .collect();
-        let mut batch_index: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut batch_index: HashMap<&Fingerprint, usize> = HashMap::new();
         // Per batch: (workload index of the first job, member job ids).
         // Only jobs this campaign leads are scheduled; followed jobs are
         // collected from their leaders after the pool drains.
         let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
         for id in (0..jobs.len()).filter(|&id| leaders[id].is_some()) {
             let w = jobs[id].0;
-            match batch_index.entry(Fingerprint::of_profile(campaign, &profiles[w])) {
+            match batch_index.entry(&profile_digests[w]) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     batches[*e.get()].1.push(id);
                 }
@@ -565,7 +578,9 @@ impl Engine {
         rec.counter_add("engine.simulation_wall_nanos", simulation_wall_nanos);
         drop(integrate_span);
 
-        // Phase 5: assemble the grid by cell index.
+        // Phase 5: assemble the grid by cell index, deriving each cell's
+        // clock, CPI stack and power for its own machine from the job's
+        // counters — bit-identical to simulating that machine.
         let assemble_span = rec.phase_span("engine.assemble");
         let workload_names = profiles.iter().map(|p| p.name().to_string()).collect();
         let machine_names = machines.iter().map(|m| m.name.clone()).collect();
@@ -573,7 +588,11 @@ impl Engine {
             .iter()
             .map(|row| {
                 row.iter()
-                    .map(|&id| resolved[id].clone().expect("job resolved"))
+                    .zip(machines)
+                    .map(|(&id, machine)| {
+                        let job = resolved[id].as_ref().expect("job resolved");
+                        Measurement::for_machine(job.counters.clone(), machine)
+                    })
                     .collect()
             })
             .collect();

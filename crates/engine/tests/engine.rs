@@ -6,7 +6,8 @@ use horizon_core::campaign::Campaign;
 use horizon_engine::Engine;
 use horizon_trace::WorkloadProfile;
 use horizon_uarch::MachineConfig;
-use horizon_workloads::cpu2017;
+use horizon_workloads::systems::submitted_systems;
+use horizon_workloads::{cpu2017, SubSuite};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,6 +66,43 @@ fn results_are_bit_identical_across_worker_counts_and_match_builtin() {
         parallel, builtin,
         "--jobs 7 must reproduce the builtin grid"
     );
+}
+
+/// Every submitted system is a Table IV machine at another clock and
+/// name: it shares that machine's job, yet its cells must still equal the
+/// builtin backend's simulation of it.
+#[test]
+fn submitted_systems_share_table_iv_jobs_and_match_builtin() {
+    let campaign = campaign();
+    let profiles = profiles();
+    let table_iv = MachineConfig::table_iv_machines();
+    let mut machines = table_iv.clone();
+    for system in SubSuite::all().into_iter().flat_map(submitted_systems) {
+        if !machines.iter().any(|m| m.name == system.name) {
+            machines.push(system.machine);
+        }
+    }
+    assert!(machines.len() > table_iv.len() + 4, "{machines:?}");
+
+    let builtin = campaign.measure_profiles(&profiles, &machines);
+    let engine = Engine::new().with_jobs(2);
+    let grid = engine.measure_profiles(&campaign, &profiles, &machines);
+    assert_eq!(grid, builtin, "derived cells must equal simulated ones");
+
+    // One job per (profile, Table IV microarchitecture).
+    let stats = engine.stats();
+    assert_eq!(stats.cells, (profiles.len() * machines.len()) as u64);
+    assert_eq!(
+        stats.simulated_jobs,
+        (profiles.len() * table_iv.len()) as u64
+    );
+    assert_eq!(stats.unique_jobs, stats.simulated_jobs);
+    // A clock variant is its own cell, not a copy of its Table IV twin's.
+    let fast = machines
+        .iter()
+        .position(|m| m.name == "Vendor-A Workstation 3.8GHz")
+        .expect("the 3.8 GHz workstation is submitted");
+    assert_ne!(grid.at(0, 0), grid.at(0, fast));
 }
 
 #[test]

@@ -25,11 +25,14 @@
 //!    with an identical L1 front-end — the ([`CacheConfig`] of L1I/L1D
 //!    plus prefetcher) triple, an L1 TLB config, or a [`PredictorKind`] —
 //!    share **one** simulated instance and copy its counters. The shared
-//!    levels (L2/L3, L2 TLB) are still per machine, but they are driven
-//!    from the front-end's hit/miss/install outcomes and only do work on
-//!    the rare events that reach them. In the paper's Table IV fleet this
-//!    collapses 7 L1 cache front-ends to 4 and 7+7 L1 TLBs to 4+5, and
-//!    pays trace generation once instead of 7 times.
+//!    levels (L2/L3, L2 TLB) are still per machine, driven from the
+//!    front-end's hit/miss/install outcomes. Those events are not rare:
+//!    every L1 miss reaches them, and every stream-prefetch fill calls
+//!    `install_shared` on each back lane its data front feeds, so on
+//!    prefetch-heavy sweeps — prewarm above all — the L2/L3 back lanes
+//!    take a large share of the kernel's time. In the paper's Table IV
+//!    fleet the dedup collapses 7 L1 cache front-ends to 4 and 7+7 L1
+//!    TLBs to 4+5, and pays trace generation once instead of 7 times.
 //!
 //! On top of the dedup, the kernel is *lane-stepped*: instead of fanning
 //! each instruction out across every group, events are buffered into small

@@ -45,8 +45,9 @@ use crate::lanes::U64x4;
 /// cold sentinel. Cache line indices and page numbers both stay far below
 /// that. Tags are stored biased by +1 so an all-zero array means "every
 /// way invalid": construction is a zeroed allocation (`alloc_zeroed`, no
-/// memset), and pages of big L3-sized arrays are only ever faulted in for
-/// sets the workload actually touches.
+/// memset), and [`LruSets::new`] then prefaults every page of it in
+/// sequential order, so big L3-sized arrays are committed up front rather
+/// than faulted in set by set inside the simulation loop.
 #[derive(Debug, Clone)]
 pub(crate) struct LruSets {
     /// Per set: `ways` biased tags (`tag + 1`, 0 = invalid), then `ways`

@@ -343,6 +343,18 @@ impl MachineConfig {
         ]
     }
 
+    /// The simulated part of the machine: its cache hierarchy, TLB
+    /// hierarchy and branch predictor. These are the grouping keys of the
+    /// fleet kernel's `FleetState::new` and the only fields a simulation
+    /// reads; the others (name, ISA, clock, issue width, latencies) enter
+    /// only the CPI stack and power estimate computed from the counters.
+    /// Two machines with equal triples therefore produce identical
+    /// structural counters, and `horizon-engine` keys its jobs on this
+    /// triple. A field the kernel starts to read must join it.
+    pub fn microarchitecture(&self) -> (&HierarchyConfig, &TlbHierarchyConfig, &PredictorKind) {
+        (&self.hierarchy, &self.tlb, &self.predictor)
+    }
+
     /// Returns a copy with a different L1 data cache, for sensitivity sweeps.
     pub fn with_l1d(&self, config: CacheConfig) -> MachineConfig {
         let mut m = self.clone();
@@ -431,6 +443,42 @@ mod tests {
         let pred = base.with_predictor(PredictorKind::Bimodal { table_bits: 10 });
         assert_ne!(pred.predictor, base.predictor);
         assert_eq!(pred.hierarchy, base.hierarchy);
+    }
+
+    /// Machines that differ only outside [`MachineConfig::microarchitecture`]
+    /// share every structural counter; only clock and CPI stack move.
+    #[test]
+    fn clones_outside_the_microarchitecture_simulate_identically() {
+        use crate::{Counters, CpiStack, FleetSimulator};
+        let base = MachineConfig::sparc_t4();
+        let clone = MachineConfig {
+            name: "Vendor-D Blade 3.2GHz".into(),
+            isa: Isa::X86,
+            freq_ghz: 3.2,
+            issue_width: 4.0,
+            latency: LatencyModel::default(),
+            ..base.clone()
+        };
+        assert_eq!(base.microarchitecture(), clone.microarchitecture());
+        let profile = horizon_trace::WorkloadProfile::builder("w")
+            .loads(0.3)
+            .build()
+            .unwrap();
+        let run = |m: &MachineConfig| {
+            FleetSimulator::new(std::slice::from_ref(m))
+                .with_warmup(5_000)
+                .run(&profile, 20_000, 7)
+                .remove(0)
+        };
+        let (a, b) = (run(&base), run(&clone));
+        let structural = |c: &Counters| Counters {
+            freq_ghz: 0.0,
+            cpi_stack: CpiStack::default(),
+            ..c.clone()
+        };
+        assert_eq!(structural(&a), structural(&b));
+        assert_ne!(a.freq_ghz, b.freq_ghz);
+        assert_ne!(a.cpi_stack, b.cpi_stack);
     }
 
     #[test]
