@@ -10,7 +10,7 @@ use horizon_core::metrics::{feature_matrix, Metric};
 use horizon_core::similarity::SimilarityAnalysis;
 use horizon_stats::Retention;
 use horizon_trace::{Region, WorkloadProfile};
-use horizon_uarch::{CoreSimulator, MachineConfig, PrefetchConfig};
+use horizon_uarch::{FleetSimulator, MachineConfig, PrefetchConfig};
 use horizon_workloads::cpu2017;
 
 fn campaign_features() -> (Vec<String>, horizon_stats::Matrix) {
@@ -67,7 +67,7 @@ fn ablation_retention(c: &mut Criterion) {
 
 /// DESIGN.md §5.1: single-region vs multi-region memory model.
 fn ablation_memory_model(c: &mut Criterion) {
-    let machine = MachineConfig::skylake_i7_6700();
+    let machine = [MachineConfig::skylake_i7_6700()];
     let single = WorkloadProfile::builder("single-region")
         .loads(0.25)
         .stores(0.08)
@@ -89,7 +89,7 @@ fn ablation_memory_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/memory_model");
     for (label, profile) in [("single", &single), ("multi", &multi)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), profile, |b, p| {
-            b.iter(|| CoreSimulator::new(&machine).run(p, 30_000, 42).l1d_misses)
+            b.iter(|| FleetSimulator::new(&machine).run(p, 30_000, 42)[0].l1d_misses)
         });
     }
     group.finish();
@@ -114,7 +114,9 @@ fn ablation_prefetch(c: &mut Criterion) {
         let mut machine = MachineConfig::skylake_i7_6700();
         machine.hierarchy.prefetch = prefetch;
         group.bench_with_input(BenchmarkId::from_parameter(label), &machine, |b, m| {
-            b.iter(|| CoreSimulator::new(m).run(&profile, 30_000, 42).cpi())
+            b.iter(|| {
+                FleetSimulator::new(std::slice::from_ref(m)).run(&profile, 30_000, 42)[0].cpi()
+            })
         });
     }
     group.finish();

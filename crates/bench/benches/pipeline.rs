@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use horizon_cluster::{cluster, Linkage};
 use horizon_stats::{DistanceMatrix, Matrix, Metric, Pca, Retention};
 use horizon_trace::TraceGenerator;
-use horizon_uarch::{Cache, CacheConfig, CoreSimulator, MachineConfig};
+use horizon_uarch::{Cache, CacheConfig, FleetSimulator, MachineConfig};
 use horizon_workloads::cpu2017;
 
 fn bench_trace_generation(c: &mut Criterion) {
@@ -40,9 +40,9 @@ fn bench_cache(c: &mut Criterion) {
 
 fn bench_simulator(c: &mut Criterion) {
     let profile = cpu2017::all()[2].profile().clone();
-    let machine = MachineConfig::skylake_i7_6700();
+    let machine = [MachineConfig::skylake_i7_6700()];
     c.bench_function("uarch/simulate_50k_instructions_skylake", |b| {
-        b.iter(|| CoreSimulator::new(&machine).run(&profile, 50_000, 42))
+        b.iter(|| FleetSimulator::new(&machine).run(&profile, 50_000, 42))
     });
 }
 

@@ -10,17 +10,14 @@
 use horizon_core::campaign::Campaign;
 use horizon_trace::WorkloadProfile;
 
-/// Mirrors `CoreSimulator`'s pre-warm region cut-off: DRAM-scale regions
-/// are not walked during warmup, so they cost nothing up front.
-const PREWARM_LIMIT: u64 = 6 << 20;
-
 /// Estimated cost of simulating one `(profile, machine)` job, in simulated
 /// "instruction equivalents": the trace window (measured + warmup
 /// instructions, weighted by the profile's memory intensity — every load
 /// and store walks the cache and TLB hierarchies on top of the fetch
-/// path) plus one access per cache line the simulator pre-warms. Purely a
-/// function of the campaign and profile, so identical across machines and
-/// fully deterministic.
+/// path) plus one access per cache line of the simulator's prewarm sweep
+/// ([`horizon_uarch::prewarm_spans`]), which runs only with a warmup.
+/// Purely a function of the campaign and profile, so identical across
+/// machines and fully deterministic.
 pub fn estimated_cost(campaign: &Campaign, profile: &WorkloadProfile) -> u64 {
     let window = campaign.instructions + campaign.warmup;
     let mix = profile.mix();
@@ -29,17 +26,12 @@ pub fn estimated_cost(campaign: &Campaign, profile: &WorkloadProfile) -> u64 {
 
     let mut prewarm_lines = 0u64;
     if campaign.warmup > 0 {
-        for (_, bytes) in horizon_trace::region_layout(profile) {
-            if bytes <= PREWARM_LIMIT {
-                prewarm_lines += bytes / 64;
-            }
-        }
-        let (_, code_bytes) = horizon_trace::hot_code_layout(profile);
-        prewarm_lines += code_bytes / 64;
-        if profile.kernel_fraction() > 0.0 {
-            let (_, kernel_bytes) = horizon_trace::kernel_code_layout();
-            prewarm_lines += kernel_bytes / 64;
-        }
+        let (data, code) = horizon_uarch::prewarm_spans(profile);
+        prewarm_lines = data
+            .iter()
+            .chain(&code)
+            .map(|span| (span.end - span.start) / 64)
+            .sum();
     }
     weighted_window + prewarm_lines
 }

@@ -3,23 +3,24 @@
 //! Three configurations over the same workload (the exchange2 profile, a
 //! 2M-instruction measured window with 400k warmup, seed 42):
 //!
-//! - `independent_7` — seven [`CoreSimulator`] runs, one per Table IV
-//!   machine; the trace is regenerated and re-streamed seven times. This
-//!   is what `Campaign::measure_profiles_builtin` did before the fleet
+//! - `independent_7` — seven one-lane fleets, one per Table IV machine;
+//!   the trace is regenerated and re-streamed seven times, once per
+//!   machine, as `Campaign::measure_profiles_builtin` did before the fleet
 //!   kernel.
 //! - `fleet_7` — one [`FleetSimulator`] pass over all seven machines:
 //!   the trace streams once and every machine's structures step per
 //!   instruction, with config-identical front-end structures deduplicated
 //!   across machines.
-//! - `fleet_1` — a single-machine fleet, isolating the kernel's fixed
-//!   overhead relative to `CoreSimulator` for the degenerate batch.
+//! - `fleet_1` — a single-machine fleet: one machine's share of
+//!   `independent_7`, and the kernel's fixed cost for the degenerate
+//!   batch.
 //!
 //! The headline number is `independent_7` median / `fleet_7` median; the
 //! acceptance floor is 2.5x and measured medians are recorded in
 //! `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use horizon_uarch::{CoreSimulator, FleetSimulator, MachineConfig};
+use horizon_uarch::{FleetSimulator, MachineConfig};
 use horizon_workloads::cpu2017;
 
 const WINDOW: u64 = 2_000_000;
@@ -39,7 +40,7 @@ fn bench_fleet_vs_independent(c: &mut Criterion) {
             machines
                 .iter()
                 .map(|m| {
-                    CoreSimulator::new(m)
+                    FleetSimulator::new(std::slice::from_ref(m))
                         .with_warmup(WARMUP)
                         .run(&profile, WINDOW, SEED)
                 })

@@ -48,7 +48,6 @@ impl CacheConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    config: CacheConfig,
     /// Tag/stamp storage with true-LRU replacement and a hot-line memo;
     /// keys are line indices (`addr >> line_shift`).
     lines: LruSets,
@@ -79,17 +78,11 @@ impl Cache {
             config.associativity
         );
         Cache {
-            config,
             lines: LruSets::new(sets, config.associativity),
             accesses: 0,
             misses: 0,
             line_shift: config.line_bytes.trailing_zeros(),
         }
-    }
-
-    /// Geometry of this cache.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accesses the line containing `addr`; returns `true` on hit.
@@ -117,13 +110,6 @@ impl Cache {
         self.misses += (misses.len() - before) as u64;
     }
 
-    /// Batched fill-path installs: [`Cache::install`] (`mru == true`) or
-    /// [`Cache::install_lru`] per address, in order. Never touches the
-    /// access/miss counters.
-    pub fn install_lines(&mut self, addrs: &[u64], mru: bool) {
-        self.lines.fill_lanes(self.line_shift, addrs, mru);
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -140,15 +126,6 @@ impl Cache {
     /// Total misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Miss ratio (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
     }
 
     /// Installs the line containing `addr` without touching the access/miss
@@ -170,13 +147,6 @@ impl Cache {
         // LRU-priority fills take stamp 0 so they are the set's first
         // victim; MRU fills take the newest stamp.
         self.lines.fill(addr >> self.line_shift, mru);
-    }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.lines.reset();
-        self.accesses = 0;
-        self.misses = 0;
     }
 }
 
@@ -245,19 +215,6 @@ mod tests {
         }
         // LRU on a cyclic sweep larger than capacity misses every time.
         assert_eq!(thrash.misses(), 1280);
-    }
-
-    #[test]
-    fn miss_ratio_and_reset() {
-        let mut c = Cache::new(CacheConfig::new(1024, 2));
-        assert_eq!(c.miss_ratio(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(!c.access(0)); // cold again after reset
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! The paper characterizes every workload on seven machines (Table I).
 //! The instruction trace for a (profile, seed) pair is machine-independent,
-//! so simulating the fleet as N independent [`CoreSimulator`] runs expands
-//! the same trace N times and pays the generator's cost N times. The
+//! so simulating the fleet as N independent per-machine runs expands the
+//! same trace N times and pays the generator's cost N times. The
 //! [`FleetSimulator`] streams the trace **once** and fans each instruction
 //! out across every machine's microarchitectural state, producing counters
-//! bit-identical to the independent runs.
+//! bit-identical to the independent runs. It is the crate's only
+//! simulator: a single machine runs as a one-lane fleet.
 //!
 //! Two observations make the fused kernel fast *and* exact:
 //!
@@ -44,12 +45,14 @@
 //!
 //! Trace-side counters (instruction mix, taken branches, kernel
 //! instructions) are likewise accumulated once at generation time. The
-//! bit-identity is enforced by fixed-vector tests here and a property test
-//! in `tests/fleet_equivalence.rs`.
+//! bit-identity is enforced against a straight-line per-machine reference
+//! loop, which exists only as test code: fixed vectors, property tests, and
+//! a gate over every CPU2017 catalog profile on the Table IV fleet.
 //!
-//! [`CoreSimulator`]: crate::CoreSimulator
 //! [`CacheConfig`]: crate::CacheConfig
 //! [`PredictorKind`]: crate::PredictorKind
+
+use std::ops::Range;
 
 use horizon_trace::{Instruction, Kind, TraceGenerator, WorkloadProfile};
 
@@ -57,9 +60,8 @@ use crate::branch::{BranchPredictor, PredictorKind};
 use crate::cache::Cache;
 use crate::cache::CacheConfig;
 use crate::counters::Counters;
-use crate::hierarchy::{AccessKind, DataFront, HierarchyConfig, L2Back, PrefetchConfig};
+use crate::hierarchy::{DataFront, HierarchyConfig, L2Back, PrefetchConfig};
 use crate::machine::MachineConfig;
-use crate::simulator::PREWARM_LIMIT;
 use crate::tlb::{Tlb, TlbConfig, TlbHierarchyConfig};
 use crate::topdown::CpiStack;
 
@@ -78,6 +80,34 @@ fn dedup_groups<K: PartialEq>(keys: Vec<K>) -> (Vec<K>, Vec<usize>) {
         }
     }
     (uniq, index)
+}
+
+/// Largest data region the prewarm sweep walks: anything bigger cannot
+/// stay resident and would only wash the LLC right before measurement.
+const PREWARM_LIMIT: u64 = 6 << 20;
+
+/// The address ranges a warmed-up run prewarms, as `(data, code)` lists.
+/// The sweep touches every 64-byte line of each range once, all data
+/// ranges first, emulating the steady state of a benchmark that has
+/// already run for minutes: without it, short windows over-count the cold
+/// misses of rarely touched regions.
+///
+/// The data ranges are the profile's regions of at most 6 MiB, in layout
+/// order; a DRAM-scale region cannot stay resident, and walking it would
+/// re-cold every smaller one. The code ranges are the hot code, then the
+/// kernel's code when the profile runs kernel instructions.
+pub fn prewarm_spans(profile: &WorkloadProfile) -> (Vec<Range<u64>>, Vec<Range<u64>>) {
+    let span = |(base, bytes): (u64, u64)| base..base + bytes;
+    let data = horizon_trace::region_layout(profile)
+        .into_iter()
+        .filter(|&(_, bytes)| bytes <= PREWARM_LIMIT)
+        .map(span)
+        .collect();
+    let mut code = vec![span(horizon_trace::hot_code_layout(profile))];
+    if profile.kernel_fraction() > 0.0 {
+        code.push(span(horizon_trace::kernel_code_layout()));
+    }
+    (data, code)
 }
 
 /// Per-event outcome bits of one data-front group.
@@ -152,8 +182,8 @@ struct TlbBackLane {
 }
 
 impl TlbBackLane {
-    /// Mirrors `TlbHierarchy::refill`: returns `true` when the refill
-    /// required a page walk.
+    /// Returns `true` when an L1 TLB miss's refill required a page walk:
+    /// an L2 TLB miss, or any refill when there is no L2 TLB.
     #[inline]
     fn refill(&mut self, addr: u64) -> bool {
         match &mut self.l2 {
@@ -202,8 +232,8 @@ impl TraceCounts {
 }
 
 /// Warm-state counter snapshot of every group, taken after warmup so the
-/// measured window can be isolated by subtraction (same bookkeeping as
-/// `CoreSimulator::run`, per group instead of per machine).
+/// measured window can be isolated by subtraction (per group instead of
+/// per machine).
 struct GroupSnapshots {
     /// Per L1I group: (accesses, misses).
     l1is: Vec<(u64, u64)>,
@@ -224,23 +254,23 @@ struct GroupSnapshots {
 
 /// Simulates one workload on many machines from a single trace expansion.
 ///
-/// Counters are bit-identical to running [`crate::CoreSimulator`] once per
-/// machine with the same warmup/window/seed; trace generation, prewarm
-/// address walks, instruction-mix accounting, and every structure shared
-/// between machine configurations are paid once per fleet instead of once
-/// per machine.
+/// Each machine's counters are exactly those of simulating it alone with
+/// the same warmup/window/seed (a one-lane fleet); trace generation,
+/// prewarm address walks, instruction-mix accounting, and every structure
+/// shared between machine configurations are paid once per fleet instead
+/// of once per machine.
 ///
 /// # Example
 ///
 /// ```
 /// use horizon_trace::WorkloadProfile;
-/// use horizon_uarch::{CoreSimulator, FleetSimulator, MachineConfig};
+/// use horizon_uarch::{FleetSimulator, MachineConfig};
 ///
 /// let p = WorkloadProfile::builder("w").loads(0.25).build()?;
 /// let machines = [MachineConfig::skylake_i7_6700(), MachineConfig::sparc_t4()];
 /// let fleet = FleetSimulator::new(&machines).run(&p, 20_000, 7);
-/// let solo = CoreSimulator::new(&machines[1]).run(&p, 20_000, 7);
-/// assert_eq!(fleet[1], solo);
+/// let solo = FleetSimulator::new(&machines[1..]).run(&p, 20_000, 7);
+/// assert_eq!(fleet[1], solo[0]);
 /// # Ok::<(), horizon_trace::ProfileError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -251,8 +281,8 @@ pub struct FleetSimulator {
 }
 
 impl FleetSimulator {
-    /// Creates a fleet simulator with no warmup, like
-    /// [`crate::CoreSimulator::new`].
+    /// Creates a fleet simulator with **no warmup**: counters start
+    /// accumulating from the first instruction, cold-start misses included.
     pub fn new(machines: &[MachineConfig]) -> Self {
         FleetSimulator {
             machines: machines.to_vec(),
@@ -260,20 +290,17 @@ impl FleetSimulator {
         }
     }
 
-    /// Sets the warmup instruction count applied to every machine.
+    /// Sets the warmup instruction count applied to every machine. A
+    /// nonzero warmup also prewarms the caches and TLBs first, with the
+    /// sweep over [`prewarm_spans`].
     pub fn with_warmup(mut self, instructions: u64) -> Self {
         self.warmup = instructions;
         self
     }
 
-    /// The machines this fleet models, in result order.
-    pub fn machines(&self) -> &[MachineConfig] {
-        &self.machines
-    }
-
     /// Runs `instructions` measured instructions of `profile` (after any
     /// warmup) on every machine and returns one [`Counters`] per machine,
-    /// in [`FleetSimulator::machines`] order.
+    /// in the order the machines were given.
     pub fn run(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Vec<Counters> {
         if self.machines.is_empty() {
             return Vec::new();
@@ -461,10 +488,11 @@ impl FleetState {
     /// the group kernels when the batch fills or the measured flag flips.
     ///
     /// Per structure the batch replays the exact per-instruction call
-    /// sequence of `CoreSimulator::run` (see [`FleetState::run_batch`]);
-    /// structures are mutually independent, so deferring and regrouping
-    /// events *between* them is invisible in the counters while letting
-    /// every group's kernel run structure-major over a whole block.
+    /// sequence of a straight-line per-machine loop (see
+    /// [`FleetState::run_batch`]); structures are mutually independent, so
+    /// deferring and regrouping events *between* them is invisible in the
+    /// counters while letting every group's kernel run structure-major over
+    /// a whole block.
     #[inline]
     fn step(&mut self, inst: &Instruction, measured: bool) {
         if measured != self.batch_measured {
@@ -522,13 +550,13 @@ impl FleetState {
     ///    with its data group's outcome list by batch position — fetch
     ///    before data on the same instruction, and prefetch install before
     ///    demand within one data event — which is exactly the
-    ///    per-instruction call sequence of `MemoryHierarchy::access`. The
+    ///    per-instruction call sequence of the per-machine loop. The
     ///    shared levels are *one* structure serving both sides, so this
     ///    merge (rather than per-side batches) is what keeps their LRU
     ///    evolution bit-identical.
     /// 3. **I-TLB / D-TLB groups**, then **TLB back lanes** under the same
-    ///    position merge (instruction-side refill first, matching
-    ///    `TlbHierarchy`'s per-instruction order; the L2 TLB is shared
+    ///    position merge (instruction-side refill first, matching the
+    ///    per-machine loop's per-instruction order; the L2 TLB is shared
     ///    between the sides just like the L2/L3 caches).
     /// 4. **Predictor lanes**: the batch's branch list in program order,
     ///    one virtual dispatch per lane per batch.
@@ -567,7 +595,7 @@ impl FleetState {
                 let dpos = dd.get(j).map_or(u32::MAX, |e| e.0);
                 // Fetch precedes data on the same instruction.
                 if fpos <= dpos {
-                    lane.back.demand(fm[i].1, AccessKind::Fetch);
+                    lane.back.demand_fetch(fm[i].1);
                     i += 1;
                 } else {
                     let (_, flags, line, addr) = dd[j];
@@ -575,7 +603,7 @@ impl FleetState {
                         lane.back.install_shared(line);
                     }
                     if flags & DATA_MISS != 0 {
-                        lane.back.demand(addr, AccessKind::Data);
+                        lane.back.demand_data(addr);
                     }
                     j += 1;
                 }
@@ -647,20 +675,14 @@ impl FleetState {
     /// batches, and one region walk warms every lane of every group. Per
     /// structure the probe sequence is identical to a per-machine prewarm.
     fn prewarm(&mut self, profile: &WorkloadProfile) {
-        for (base, bytes) in horizon_trace::region_layout(profile) {
-            if bytes <= PREWARM_LIMIT {
-                for addr in (base..base + bytes).step_by(64) {
-                    self.prewarm_data(addr);
-                }
+        let (data, code) = prewarm_spans(profile);
+        for span in data {
+            for addr in span.step_by(64) {
+                self.prewarm_data(addr);
             }
         }
-        let (code_base, code_bytes) = horizon_trace::hot_code_layout(profile);
-        for addr in (code_base..code_base + code_bytes).step_by(64) {
-            self.prewarm_fetch(addr);
-        }
-        if profile.kernel_fraction() > 0.0 {
-            let (kbase, kbytes) = horizon_trace::kernel_code_layout();
-            for addr in (kbase..kbase + kbytes).step_by(64) {
+        for span in code {
+            for addr in span.step_by(64) {
                 self.prewarm_fetch(addr);
             }
         }
@@ -822,67 +844,30 @@ impl FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::CoreSimulator;
-    use horizon_trace::Region;
+    use horizon_trace::{BranchBehavior, Region};
+
+    /// One machine simulated alone, as a one-lane fleet.
+    fn solo(
+        machine: &MachineConfig,
+        warmup: u64,
+        profile: &WorkloadProfile,
+        instructions: u64,
+        seed: u64,
+    ) -> Counters {
+        FleetSimulator::new(std::slice::from_ref(machine))
+            .with_warmup(warmup)
+            .run(profile, instructions, seed)
+            .remove(0)
+    }
+
+    fn quick(profile: &WorkloadProfile, machine: &MachineConfig) -> Counters {
+        solo(machine, 20_000, profile, 100_000, 7)
+    }
 
     #[test]
     fn empty_fleet_returns_no_counters() {
         let p = WorkloadProfile::builder("w").build().unwrap();
         assert!(FleetSimulator::new(&[]).run(&p, 10_000, 1).is_empty());
-    }
-
-    #[test]
-    fn single_machine_fleet_equals_core_simulator() {
-        let p = WorkloadProfile::builder("w")
-            .loads(0.3)
-            .stores(0.1)
-            .branches(0.15)
-            .build()
-            .unwrap();
-        let m = MachineConfig::skylake_i7_6700();
-        let fleet = FleetSimulator::new(std::slice::from_ref(&m))
-            .with_warmup(20_000)
-            .run(&p, 100_000, 7);
-        let solo = CoreSimulator::new(&m)
-            .with_warmup(20_000)
-            .run(&p, 100_000, 7);
-        assert_eq!(fleet, vec![solo]);
-    }
-
-    #[test]
-    fn full_table_iv_fleet_matches_independent_runs() {
-        // The fixed-vector correctness gate: all seven paper machines, a
-        // memory-heavy profile, warmup enabled.
-        let p = WorkloadProfile::builder("w")
-            .loads(0.35)
-            .stores(0.12)
-            .branches(0.18)
-            .regions(vec![
-                Region::random(24 << 10, 0.6),
-                Region::random(3 << 20, 0.4),
-            ])
-            .build()
-            .unwrap();
-        let machines = MachineConfig::table_iv_machines();
-        let fleet = FleetSimulator::new(&machines)
-            .with_warmup(30_000)
-            .run(&p, 120_000, 42);
-        for (c, m) in fleet.iter().zip(&machines) {
-            let solo = CoreSimulator::new(m)
-                .with_warmup(30_000)
-                .run(&p, 120_000, 42);
-            assert_eq!(*c, solo, "machine {}", m.name);
-        }
-    }
-
-    #[test]
-    fn zero_warmup_fleet_matches() {
-        let p = WorkloadProfile::builder("w").loads(0.2).build().unwrap();
-        let machines = [MachineConfig::core2_e5405(), MachineConfig::opteron_2435()];
-        let fleet = FleetSimulator::new(&machines).run(&p, 50_000, 3);
-        for (c, m) in fleet.iter().zip(&machines) {
-            assert_eq!(*c, CoreSimulator::new(m).run(&p, 50_000, 3));
-        }
     }
 
     #[test]
@@ -894,33 +879,131 @@ mod tests {
     }
 
     #[test]
-    fn group_dedup_is_semantically_invisible() {
-        // Two machines that differ ONLY in shared levels: same L1 front
-        // ends, same predictor. The fleet simulates the fronts once; the
-        // counters must still match machine-by-machine independent runs.
-        let a = MachineConfig::skylake_i7_6700();
-        let mut b = a.clone();
-        b.name = "variant".into();
-        b.hierarchy.l3 = Some(CacheConfig::new(2 << 20, 16));
-        b.tlb.l2 = None;
+    fn counts_are_consistent() {
         let p = WorkloadProfile::builder("w")
-            .loads(0.35)
-            .regions(vec![Region::random(4 << 20, 1.0)])
+            .loads(0.3)
+            .stores(0.1)
+            .branches(0.15)
             .build()
             .unwrap();
-        let machines = [a, b];
-        let fleet = FleetSimulator::new(&machines)
-            .with_warmup(10_000)
-            .run(&p, 60_000, 11);
-        for (c, m) in fleet.iter().zip(&machines) {
-            assert_eq!(
-                *c,
-                CoreSimulator::new(m)
-                    .with_warmup(10_000)
-                    .run(&p, 60_000, 11),
-                "machine {}",
-                m.name
-            );
-        }
+        let c = quick(&p, &MachineConfig::skylake_i7_6700());
+        assert_eq!(c.instructions, 100_000);
+        assert_eq!(c.l1d_accesses, c.loads + c.stores);
+        assert_eq!(c.l1i_accesses, c.instructions);
+        assert!(c.taken_branches <= c.branches);
+        assert!(c.mispredicts <= c.branches);
+        assert!(c.l1d_misses <= c.l1d_accesses);
+        assert!(c.cpi() >= 1.0 / 4.0);
+    }
+
+    #[test]
+    fn determinism() {
+        let p = WorkloadProfile::builder("w").build().unwrap();
+        let m = MachineConfig::skylake_i7_6700();
+        let a = solo(&m, 0, &p, 30_000, 5);
+        let b = solo(&m, 0, &p, 30_000, 5);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bigger_footprint_more_misses() {
+        let small = WorkloadProfile::builder("s")
+            .loads(0.4)
+            .regions(vec![Region::random(16 << 10, 1.0)])
+            .build()
+            .unwrap();
+        let large = WorkloadProfile::builder("l")
+            .loads(0.4)
+            .regions(vec![Region::random(64 << 20, 1.0)])
+            .build()
+            .unwrap();
+        let m = MachineConfig::skylake_i7_6700();
+        let cs = quick(&small, &m);
+        let cl = quick(&large, &m);
+        assert!(cl.l1d_misses > cs.l1d_misses * 5);
+        assert!(cl.cpi() > cs.cpi());
+    }
+
+    #[test]
+    fn same_workload_differs_across_machines() {
+        // A 3 MB working set fits Skylake's 8 MB LLC but thrashes the T4's
+        // 4 MB LLC together with its tiny L1/L2.
+        let p = WorkloadProfile::builder("w")
+            .loads(0.35)
+            .regions(vec![Region::random(3 << 20, 1.0)])
+            .build()
+            .unwrap();
+        let sky = quick(&p, &MachineConfig::skylake_i7_6700());
+        let t4 = quick(&p, &MachineConfig::sparc_t4());
+        assert!(t4.mpki(t4.l2d_misses) > sky.mpki(sky.l2d_misses));
+    }
+
+    #[test]
+    fn warmup_removes_cold_misses() {
+        // A fully cache-resident working set: with warmup the measured
+        // window sees (almost) no data misses.
+        let p = WorkloadProfile::builder("w")
+            .loads(0.4)
+            .regions(vec![Region::random(8 << 10, 1.0)])
+            .build()
+            .unwrap();
+        let m = MachineConfig::skylake_i7_6700();
+        let cold = solo(&m, 0, &p, 50_000, 3);
+        let warm = solo(&m, 20_000, &p, 50_000, 3);
+        assert!(warm.l1d_misses < cold.l1d_misses);
+        assert_eq!(warm.mpki(warm.l1d_misses).round(), 0.0);
+    }
+
+    #[test]
+    fn irregular_branches_mispredict_more() {
+        let make = |regularity: f64| {
+            WorkloadProfile::builder("w")
+                .branches(0.2)
+                .branch_behavior(BranchBehavior {
+                    taken_fraction: 0.5,
+                    regularity,
+                    pattern_share: 0.5,
+                    static_branches: 128,
+                    bias_spread: 0.1,
+                })
+                .build()
+                .unwrap()
+        };
+        let m = MachineConfig::skylake_i7_6700();
+        let regular = quick(&make(1.0), &m);
+        let irregular = quick(&make(0.0), &m);
+        assert!(
+            irregular.branch_mpki() > regular.branch_mpki() * 2.0,
+            "irregular {} vs regular {}",
+            irregular.branch_mpki(),
+            regular.branch_mpki()
+        );
+    }
+
+    #[test]
+    fn weaker_predictor_mispredicts_more_on_patterned_branches() {
+        // regularity 0 → half the sites carry learnable rotations that a
+        // history predictor gets and a bimodal table cannot.
+        let p = WorkloadProfile::builder("w")
+            .branches(0.2)
+            .branch_behavior(BranchBehavior {
+                taken_fraction: 0.5,
+                regularity: 0.0,
+                pattern_share: 0.5,
+                static_branches: 8192,
+                bias_spread: 0.2,
+            })
+            .build()
+            .unwrap();
+        let strong = MachineConfig::sparc_t4(); // two-level local predictor
+        let weak = strong.with_predictor(PredictorKind::Bimodal { table_bits: 12 });
+        let cs = quick(&p, &strong);
+        let cw = quick(&p, &weak);
+        assert!(
+            cw.branch_mpki() > cs.branch_mpki(),
+            "weak {} strong {}",
+            cw.branch_mpki(),
+            cs.branch_mpki()
+        );
     }
 }

@@ -4,28 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{Cache, CacheConfig};
 
-/// Which side of the core an access comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessKind {
-    /// Instruction fetch.
-    Fetch,
-    /// Data load/store.
-    Data,
-}
-
-/// Deepest level that serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum HitLevel {
-    /// First-level cache hit.
-    L1,
-    /// Second-level cache hit.
-    L2,
-    /// Last-level cache hit.
-    L3,
-    /// Missed the entire hierarchy (DRAM access).
-    Memory,
-}
-
 /// Hardware next-line prefetcher configuration.
 ///
 /// On an L1D miss, the line after the missing one is installed into the
@@ -177,49 +155,6 @@ impl DataFront {
     }
 }
 
-/// The L1 half of a hierarchy: the L1I cache plus the [`DataFront`].
-///
-/// This is the part of a [`MemoryHierarchy`] whose evolution depends only
-/// on its own configuration and the (machine-independent) access stream:
-/// probing it yields L1 hit/miss outcomes and the prefetch addresses
-/// destined for the shared levels, without touching any L2/L3 state. The
-/// fleet kernel shares the two halves independently (L1I by cache config,
-/// data front by (l1d, prefetch) pair).
-#[derive(Debug, Clone)]
-pub(crate) struct L1Front {
-    l1i: Cache,
-    data: DataFront,
-}
-
-impl L1Front {
-    pub(crate) fn new(config: &HierarchyConfig) -> Self {
-        L1Front {
-            l1i: Cache::new(config.l1i),
-            data: DataFront::new(config.l1d, config.prefetch),
-        }
-    }
-
-    /// Instruction-fetch probe; returns `true` on L1I hit.
-    #[inline]
-    pub(crate) fn access_fetch(&mut self, addr: u64) -> bool {
-        self.l1i.access(addr)
-    }
-
-    /// Data probe; see [`DataFront::access`].
-    #[inline]
-    pub(crate) fn access_data(&mut self, addr: u64) -> (bool, Option<u64>) {
-        self.data.access(addr)
-    }
-
-    pub(crate) fn l1i(&self) -> &Cache {
-        &self.l1i
-    }
-
-    pub(crate) fn l1d(&self) -> &Cache {
-        self.data.l1d()
-    }
-}
-
 /// The shared half of a hierarchy: unified L2, optional L3, and the
 /// per-side demand accounting. Driven purely by the L1 miss/install
 /// stream its front end produces.
@@ -249,30 +184,34 @@ impl L2Back {
         }
     }
 
-    /// Demand access from an L1 miss; returns the deepest level reached.
-    pub(crate) fn demand(&mut self, addr: u64, kind: AccessKind) -> HitLevel {
-        match kind {
-            AccessKind::Fetch => self.l2i_accesses += 1,
-            AccessKind::Data => self.l2d_accesses += 1,
+    /// Demand access from an L1I miss.
+    #[inline]
+    pub(crate) fn demand_fetch(&mut self, addr: u64) {
+        self.l2i_accesses += 1;
+        if !self.l2.access(addr) {
+            self.l2i_misses += 1;
+            self.l3_demand(addr);
         }
-        if self.l2.access(addr) {
-            return HitLevel::L2;
+    }
+
+    /// Demand access from an L1D miss.
+    #[inline]
+    pub(crate) fn demand_data(&mut self, addr: u64) {
+        self.l2d_accesses += 1;
+        if !self.l2.access(addr) {
+            self.l2d_misses += 1;
+            self.l3_demand(addr);
         }
-        match kind {
-            AccessKind::Fetch => self.l2i_misses += 1,
-            AccessKind::Data => self.l2d_misses += 1,
-        }
-        match &mut self.l3 {
-            Some(l3) => {
-                self.l3_accesses += 1;
-                if l3.access(addr) {
-                    HitLevel::L3
-                } else {
-                    self.l3_misses += 1;
-                    HitLevel::Memory
-                }
+    }
+
+    /// An L2 demand miss goes on to the L3, when there is one.
+    #[inline]
+    fn l3_demand(&mut self, addr: u64) {
+        if let Some(l3) = &mut self.l3 {
+            self.l3_accesses += 1;
+            if !l3.access(addr) {
+                self.l3_misses += 1;
             }
-            None => HitLevel::Memory,
         }
     }
 
@@ -282,14 +221,6 @@ impl L2Back {
         if let Some(l3) = &mut self.l3 {
             l3.install_lru(addr);
         }
-    }
-
-    pub(crate) fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    pub(crate) fn l3(&self) -> Option<&Cache> {
-        self.l3.as_ref()
     }
 
     pub(crate) fn instruction_side(&self) -> (u64, u64) {
@@ -313,99 +244,10 @@ impl L2Back {
     }
 }
 
-/// A simulated cache hierarchy with per-side L2 accounting.
-///
-/// The paper's Table II reports L2 *instruction-side* and *data-side* MPKI
-/// separately even though the L2 is physically unified — the side is the
-/// side of the L1 that missed. This type keeps the same books.
-///
-/// Internally this is a private `L1Front` (split L1s + prefetcher) feeding
-/// a private `L2Back` (shared levels); the fleet kernel recombines the same
-/// halves
-/// across machines, so both paths execute identical structure code.
-#[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
-    front: L1Front,
-    back: L2Back,
-}
-
-impl MemoryHierarchy {
-    /// Builds an empty hierarchy from its geometry.
-    pub fn new(config: &HierarchyConfig) -> Self {
-        MemoryHierarchy {
-            front: L1Front::new(config),
-            back: L2Back::new(config),
-        }
-    }
-
-    /// Performs an access and returns the deepest level reached.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> HitLevel {
-        match kind {
-            AccessKind::Fetch => {
-                if self.front.access_fetch(addr) {
-                    HitLevel::L1
-                } else {
-                    self.back.demand(addr, AccessKind::Fetch)
-                }
-            }
-            AccessKind::Data => {
-                let (l1_hit, install) = self.front.access_data(addr);
-                if let Some(line) = install {
-                    self.back.install_shared(line);
-                }
-                if l1_hit {
-                    HitLevel::L1
-                } else {
-                    self.back.demand(addr, AccessKind::Data)
-                }
-            }
-        }
-    }
-
-    /// The L1 instruction cache.
-    pub fn l1i(&self) -> &Cache {
-        self.front.l1i()
-    }
-
-    /// The L1 data cache.
-    pub fn l1d(&self) -> &Cache {
-        self.front.l1d()
-    }
-
-    /// The unified L2.
-    pub fn l2(&self) -> &Cache {
-        self.back.l2()
-    }
-
-    /// The unified L3, if present.
-    pub fn l3(&self) -> Option<&Cache> {
-        self.back.l3()
-    }
-
-    /// Instruction-side L2 (accesses, misses).
-    pub fn l2_instruction_side(&self) -> (u64, u64) {
-        self.back.instruction_side()
-    }
-
-    /// Data-side L2 (accesses, misses).
-    pub fn l2_data_side(&self) -> (u64, u64) {
-        self.back.data_side()
-    }
-
-    /// L3 (accesses, misses); zeros when no L3 is configured.
-    pub fn l3_counts(&self) -> (u64, u64) {
-        self.back.l3_counts()
-    }
-
-    /// Accesses that went all the way to DRAM.
-    pub fn memory_accesses(&self) -> u64 {
-        self.back.memory_accesses()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{Caches, Level};
 
     fn tiny() -> HierarchyConfig {
         HierarchyConfig {
@@ -419,77 +261,78 @@ mod tests {
 
     #[test]
     fn first_touch_misses_everywhere() {
-        let mut h = MemoryHierarchy::new(&tiny());
-        assert_eq!(h.access(0x1000, AccessKind::Data), HitLevel::Memory);
-        assert_eq!(h.access(0x1000, AccessKind::Data), HitLevel::L1);
+        let mut h = Caches::new(&tiny());
+        assert_eq!(h.access_data(0x1000), Level::Memory);
+        assert_eq!(h.access_data(0x1000), Level::L1);
     }
 
     #[test]
     fn l2_catches_l1_evictions() {
-        let mut h = MemoryHierarchy::new(&tiny());
+        let mut h = Caches::new(&tiny());
         // Touch 2 KiB of lines: exceeds 1 KiB L1D, fits 8 KiB L2.
         for round in 0..3 {
             for a in (0..2048u64).step_by(64) {
-                let lvl = h.access(a, AccessKind::Data);
+                let lvl = h.access_data(a);
                 if round > 0 {
-                    assert!(lvl == HitLevel::L1 || lvl == HitLevel::L2);
+                    assert!(lvl == Level::L1 || lvl == Level::L2);
                 }
             }
         }
-        let (acc, miss) = h.l2_data_side();
+        let (acc, miss) = h.back.data_side();
         assert!(acc > 0);
         assert_eq!(miss, 32); // cold fills only
     }
 
     #[test]
     fn instruction_and_data_sides_tracked_separately() {
-        let mut h = MemoryHierarchy::new(&tiny());
-        h.access(0x10_0000, AccessKind::Fetch);
-        h.access(0x20_0000, AccessKind::Data);
-        assert_eq!(h.l2_instruction_side(), (1, 1));
-        assert_eq!(h.l2_data_side(), (1, 1));
-        assert_eq!(h.l1i().accesses(), 1);
-        assert_eq!(h.l1d().accesses(), 1);
+        let mut h = Caches::new(&tiny());
+        h.access_instruction(0x10_0000);
+        h.access_data(0x20_0000);
+        assert_eq!(h.back.instruction_side(), (1, 1));
+        assert_eq!(h.back.data_side(), (1, 1));
+        assert_eq!(h.l1i.accesses(), 1);
+        assert_eq!(h.data.l1d().accesses(), 1);
     }
 
     #[test]
     fn no_l3_goes_straight_to_memory() {
         let mut cfg = tiny();
         cfg.l3 = None;
-        let mut h = MemoryHierarchy::new(&cfg);
-        assert_eq!(h.access(0x1000, AccessKind::Data), HitLevel::Memory);
-        assert_eq!(h.l3_counts(), (0, 0));
-        assert_eq!(h.memory_accesses(), 1);
+        let mut h = Caches::new(&cfg);
+        assert_eq!(h.access_data(0x1000), Level::Memory);
+        assert_eq!(h.back.l3_counts(), (0, 0));
+        assert_eq!(h.back.memory_accesses(), 1);
     }
 
     #[test]
     fn prefetch_hides_streaming_misses() {
         let mut cfg = tiny();
         cfg.prefetch = PrefetchConfig::aggressive();
-        let mut with = MemoryHierarchy::new(&cfg);
+        let mut with = Caches::new(&cfg);
         cfg.prefetch = PrefetchConfig::none();
-        let mut without = MemoryHierarchy::new(&cfg);
+        let mut without = Caches::new(&cfg);
         // Stream 64 KiB line by line: next-line prefetch converts nearly
         // every miss after the first into a hit.
         for a in (0..65536u64).step_by(64) {
-            with.access(a, AccessKind::Data);
-            without.access(a, AccessKind::Data);
+            with.access_data(a);
+            without.access_data(a);
         }
-        assert_eq!(without.l1d().misses(), 1024);
-        assert!(with.l1d().misses() <= 2, "{}", with.l1d().misses());
+        assert_eq!(without.data.l1d().misses(), 1024);
+        let misses = with.data.l1d().misses();
+        assert!(misses <= 2, "{misses}");
     }
 
     #[test]
     fn l2_only_prefetch_leaves_l1_misses() {
         let mut cfg = tiny();
         cfg.prefetch = PrefetchConfig::l2_only();
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut h = Caches::new(&cfg);
         for a in (0..65536u64).step_by(64) {
-            h.access(a, AccessKind::Data);
+            h.access_data(a);
         }
         // L1 still misses every new line, but the lines are waiting in L2.
-        assert_eq!(h.l1d().misses(), 1024);
-        let (_, l2d_misses) = h.l2_data_side();
+        assert_eq!(h.data.l1d().misses(), 1024);
+        let (_, l2d_misses) = h.back.data_side();
         assert!(l2d_misses <= 2, "{l2d_misses}");
     }
 
@@ -497,26 +340,27 @@ mod tests {
     fn prefetch_does_not_help_instruction_side() {
         let mut cfg = tiny();
         cfg.prefetch = PrefetchConfig::aggressive();
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut h = Caches::new(&cfg);
         for a in (0..65536u64).step_by(64) {
-            h.access(a, AccessKind::Fetch);
+            h.access_instruction(a);
         }
-        assert_eq!(h.l1i().misses(), 1024);
+        assert_eq!(h.l1i.misses(), 1024);
     }
 
     #[test]
     fn l3_hit_level_reported() {
-        let mut h = MemoryHierarchy::new(&tiny());
+        let mut h = Caches::new(&tiny());
         // Touch 16 KiB: exceeds L2 (8 KiB), fits L3 (64 KiB).
         for _ in 0..2 {
             for a in (0..16384u64).step_by(64) {
-                h.access(a, AccessKind::Data);
+                h.access_data(a);
             }
         }
         // Second sweep: L1/L2 thrash; many L3 hits.
-        let (l3a, l3m) = h.l3_counts();
+        let (l3a, l3m) = h.back.l3_counts();
         assert!(l3a > 0);
         assert_eq!(l3m, 256); // 16 KiB / 64 = 256 cold misses only
-        assert_eq!(h.memory_accesses(), 256);
+        assert_eq!(h.back.memory_accesses(), 256);
+        assert_eq!(h.access_data(0), Level::L3);
     }
 }

@@ -11,17 +11,20 @@
 //! [`MachineConfig`] constructors; arbitrary configurations can be built for
 //! sensitivity studies (Table IX).
 //!
+//! [`FleetSimulator`] is the one simulator: it streams a trace once across
+//! any number of machines, and a single machine runs as a one-lane fleet.
+//!
 //! # Example
 //!
 //! ```
 //! use horizon_trace::WorkloadProfile;
-//! use horizon_uarch::{CoreSimulator, MachineConfig};
+//! use horizon_uarch::{FleetSimulator, MachineConfig};
 //!
 //! let profile = WorkloadProfile::builder("demo").loads(0.3).build()?;
 //! let machine = MachineConfig::skylake_i7_6700();
-//! let counters = CoreSimulator::new(&machine).run(&profile, 100_000, 42);
-//! assert_eq!(counters.instructions, 100_000);
-//! assert!(counters.cpi() > 0.0);
+//! let counters = FleetSimulator::new(&[machine]).run(&profile, 100_000, 42);
+//! assert_eq!(counters[0].instructions, 100_000);
+//! assert!(counters[0].cpi() > 0.0);
 //! # Ok::<(), horizon_trace::ProfileError>(())
 //! ```
 
@@ -37,17 +40,17 @@ mod lanes;
 mod lru;
 mod machine;
 mod power;
-mod simulator;
+#[cfg(test)]
+mod reference;
 mod tlb;
 mod topdown;
 
 pub use branch::{BranchPredictor, PredictorKind};
 pub use cache::{Cache, CacheConfig};
 pub use counters::Counters;
-pub use fleet::FleetSimulator;
-pub use hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy, PrefetchConfig};
+pub use fleet::{prewarm_spans, FleetSimulator};
+pub use hierarchy::{HierarchyConfig, PrefetchConfig};
 pub use machine::{Isa, LatencyModel, MachineConfig};
 pub use power::{PowerModel, PowerReport};
-pub use simulator::CoreSimulator;
-pub use tlb::{Tlb, TlbConfig, TlbHierarchy, TlbHierarchyConfig};
+pub use tlb::{Tlb, TlbConfig, TlbHierarchyConfig};
 pub use topdown::CpiStack;

@@ -380,19 +380,20 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::MemoryHierarchy;
-    use crate::tlb::TlbHierarchy;
+    use crate::fleet::FleetSimulator;
+    use horizon_trace::WorkloadProfile;
 
     #[test]
     fn all_seven_machines_instantiate() {
         let machines = MachineConfig::table_iv_machines();
         assert_eq!(machines.len(), 7);
+        let p = WorkloadProfile::builder("w").loads(0.3).build().unwrap();
         for m in &machines {
-            // Constructing the simulated structures validates geometry
-            // (power-of-two set counts etc.).
-            let _ = MemoryHierarchy::new(&m.hierarchy);
-            let _ = TlbHierarchy::new(&m.tlb);
-            let _ = m.predictor.build();
+            // Building the simulated structures validates geometry
+            // (power-of-two set counts etc.); a short one-lane run steps
+            // each of them.
+            let c = FleetSimulator::new(std::slice::from_ref(m)).run(&p, 1_000, 1);
+            assert_eq!(c[0].instructions, 1_000);
             assert!(m.freq_ghz > 0.0);
             assert!(m.issue_width >= 1.0);
         }

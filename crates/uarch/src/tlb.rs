@@ -33,7 +33,6 @@ impl TlbConfig {
 /// A set-associative TLB with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    config: TlbConfig,
     /// Tag/stamp storage with true-LRU replacement and a hot-page memo;
     /// keys are page numbers (`addr >> page_shift`).
     entries: LruSets,
@@ -58,17 +57,11 @@ impl Tlb {
             "TLB set count must be a power of two"
         );
         Tlb {
-            config,
             entries: LruSets::new(sets as u64, config.associativity),
             accesses: 0,
             misses: 0,
             page_shift: config.page_bytes.trailing_zeros(),
         }
-    }
-
-    /// Geometry of this TLB.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
     }
 
     /// Looks up the page containing `addr`; returns `true` on hit. Misses
@@ -112,7 +105,9 @@ impl Tlb {
     }
 }
 
-/// Configuration of the two-level TLB hierarchy.
+/// Configuration of the two-level TLB hierarchy: split L1 I/D TLBs backed
+/// by an optional unified L2. An L2 miss, or any L1 miss when there is no
+/// L2, counts as a page walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TlbHierarchyConfig {
     /// First-level instruction TLB.
@@ -123,92 +118,13 @@ pub struct TlbHierarchyConfig {
     pub l2: Option<TlbConfig>,
 }
 
-/// Two-level TLB hierarchy: split L1 I/D TLBs backed by an optional unified
-/// L2; L2 misses count as page walks.
-#[derive(Debug, Clone)]
-pub struct TlbHierarchy {
-    l1i: Tlb,
-    l1d: Tlb,
-    l2: Option<Tlb>,
-    page_walks_instruction: u64,
-    page_walks_data: u64,
-}
-
-impl TlbHierarchy {
-    /// Builds the hierarchy from its configuration.
-    pub fn new(config: &TlbHierarchyConfig) -> Self {
-        TlbHierarchy {
-            l1i: Tlb::new(config.l1i),
-            l1d: Tlb::new(config.l1d),
-            l2: config.l2.map(Tlb::new),
-            page_walks_instruction: 0,
-            page_walks_data: 0,
-        }
-    }
-
-    /// Translates an instruction fetch; returns `true` if the L1 ITLB hit.
-    pub fn access_instruction(&mut self, pc: u64) -> bool {
-        let l1_hit = self.l1i.access(pc);
-        if !l1_hit && self.refill(pc) {
-            self.page_walks_instruction += 1;
-        }
-        l1_hit
-    }
-
-    /// Translates a data access; returns `true` if the L1 DTLB hit.
-    pub fn access_data(&mut self, addr: u64) -> bool {
-        let l1_hit = self.l1d.access(addr);
-        if !l1_hit && self.refill(addr) {
-            self.page_walks_data += 1;
-        }
-        l1_hit
-    }
-
-    /// Returns `true` if the refill required a page walk.
-    fn refill(&mut self, addr: u64) -> bool {
-        match &mut self.l2 {
-            Some(l2) => !l2.access(addr),
-            None => true,
-        }
-    }
-
-    /// The L1 instruction TLB.
-    pub fn l1i(&self) -> &Tlb {
-        &self.l1i
-    }
-
-    /// The L1 data TLB.
-    pub fn l1d(&self) -> &Tlb {
-        &self.l1d
-    }
-
-    /// The unified L2 TLB, if configured.
-    pub fn l2(&self) -> Option<&Tlb> {
-        self.l2.as_ref()
-    }
-
-    /// Completed page walks (L2 TLB misses, or L1 misses without an L2).
-    pub fn page_walks(&self) -> u64 {
-        self.page_walks_instruction + self.page_walks_data
-    }
-
-    /// Page walks triggered by instruction fetches.
-    pub fn page_walks_instruction(&self) -> u64 {
-        self.page_walks_instruction
-    }
-
-    /// Page walks triggered by data accesses.
-    pub fn page_walks_data(&self) -> u64 {
-        self.page_walks_data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Tlbs;
 
-    fn small_hierarchy() -> TlbHierarchy {
-        TlbHierarchy::new(&TlbHierarchyConfig {
+    fn small_hierarchy() -> Tlbs {
+        Tlbs::new(&TlbHierarchyConfig {
             l1i: TlbConfig::new(4, 4),
             l1d: TlbConfig::new(4, 4),
             l2: Some(TlbConfig::new(16, 4)),
@@ -246,13 +162,13 @@ mod tests {
                 h.access_data(p * 4096);
             }
         }
-        assert!(h.l1d().misses() > 0);
-        assert_eq!(h.page_walks(), 8); // cold L2 misses only
+        assert!(h.l1d.misses() > 0);
+        assert_eq!(h.walks_d, 8); // cold L2 misses only
     }
 
     #[test]
     fn no_l2_walks_on_every_l1_miss() {
-        let mut h = TlbHierarchy::new(&TlbHierarchyConfig {
+        let mut h = Tlbs::new(&TlbHierarchyConfig {
             l1i: TlbConfig::new(4, 4),
             l1d: TlbConfig::new(4, 4),
             l2: None,
@@ -260,17 +176,18 @@ mod tests {
         for p in 0..6u64 {
             h.access_data(p * 4096);
         }
-        assert_eq!(h.page_walks(), 6);
+        assert_eq!(h.walks_d, 6);
     }
 
     #[test]
     fn instruction_and_data_sides_are_split() {
         let mut h = small_hierarchy();
         h.access_instruction(0x1000);
-        assert_eq!(h.l1i().accesses(), 1);
-        assert_eq!(h.l1d().accesses(), 0);
+        assert_eq!(h.l1i.accesses(), 1);
+        assert_eq!(h.l1d.accesses(), 0);
+        assert_eq!((h.walks_i, h.walks_d), (1, 0));
         h.access_data(0x1000);
-        assert_eq!(h.l1d().accesses(), 1);
+        assert_eq!(h.l1d.accesses(), 1);
     }
 
     #[test]

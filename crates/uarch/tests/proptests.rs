@@ -1,7 +1,7 @@
 //! Property-based tests for the microarchitecture simulator.
 
 use horizon_trace::{Region, WorkloadProfile};
-use horizon_uarch::{Cache, CacheConfig, CoreSimulator, MachineConfig, Tlb, TlbConfig};
+use horizon_uarch::{Cache, CacheConfig, FleetSimulator, MachineConfig, Tlb, TlbConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -63,7 +63,9 @@ proptest! {
             .regions(vec![Region::random(1 << 18, 1.0)])
             .build()
             .unwrap();
-        let c = CoreSimulator::new(&MachineConfig::skylake_i7_6700()).run(&p, 20_000, seed);
+        let c = FleetSimulator::new(&[MachineConfig::skylake_i7_6700()])
+            .run(&p, 20_000, seed)
+            .remove(0);
         prop_assert_eq!(c.instructions, 20_000);
         prop_assert_eq!(c.l1d_accesses, c.loads + c.stores);
         prop_assert!(c.l1d_misses <= c.l1d_accesses);
@@ -89,7 +91,9 @@ proptest! {
             .build()
             .unwrap();
         let machines = MachineConfig::table_iv_machines();
-        let c = CoreSimulator::new(&machines[machine_idx]).run(&p, 10_000, seed);
+        let c = FleetSimulator::new(&machines[machine_idx..=machine_idx])
+            .run(&p, 10_000, seed)
+            .remove(0);
         prop_assert_eq!(c.instructions, 10_000);
         prop_assert!(c.cpi() >= 1.0 / machines[machine_idx].issue_width);
     }

@@ -953,14 +953,14 @@ mod tests {
     #[test]
     fn mcf2006_stresses_caches_more_than_mcf2017() {
         // §V-A: 429.mcf exerts all cache levels more than 505/605.mcf.
-        use horizon_uarch::{CoreSimulator, MachineConfig};
+        use horizon_uarch::{FleetSimulator, MachineConfig};
         let all = all();
         let mcf06 = all.iter().find(|b| b.name() == "429.mcf").unwrap();
         let c2017 = crate::cpu2017::all();
         let mcf17 = c2017.iter().find(|b| b.name() == "505.mcf_r").unwrap();
-        let sim = CoreSimulator::new(&MachineConfig::skylake_i7_6700()).with_warmup(30_000);
-        let c06 = sim.run(mcf06.profile(), 120_000, 9);
-        let c17 = sim.run(mcf17.profile(), 120_000, 9);
+        let sim = FleetSimulator::new(&[MachineConfig::skylake_i7_6700()]).with_warmup(30_000);
+        let c06 = sim.run(mcf06.profile(), 120_000, 9).remove(0);
+        let c17 = sim.run(mcf17.profile(), 120_000, 9).remove(0);
         assert!(c06.mpki(c06.l1d_misses) > c17.mpki(c17.l1d_misses));
         assert!(c06.mpki(c06.l2d_misses) > c17.mpki(c17.l2d_misses));
         assert!(c06.mpki(c06.l3_misses) > c17.mpki(c17.l3_misses));

@@ -11,17 +11,12 @@ use horizon::core::campaign::Campaign;
 use horizon::core::similarity::SimilarityAnalysis;
 use horizon::core::subsetting::representative_subset;
 use horizon::stats::geometric_mean;
-use horizon::uarch::{CacheConfig, CoreSimulator, MachineConfig, PredictorKind};
-use horizon::workloads::{cpu2017, Benchmark};
+use horizon::uarch::{CacheConfig, FleetSimulator, MachineConfig, PredictorKind};
+use horizon::workloads::cpu2017;
 
-/// Geomean CPI of a benchmark list on a machine (lower is better).
-fn geomean_cpi(benchmarks: &[&Benchmark], machine: &MachineConfig) -> f64 {
-    let sim = CoreSimulator::new(machine).with_warmup(60_000);
-    let cpis: Vec<f64> = benchmarks
-        .iter()
-        .map(|b| sim.run(b.profile(), 200_000, 42).cpi())
-        .collect();
-    geometric_mean(&cpis).expect("positive CPIs")
+/// Geomean of one design's CPIs (lower is better).
+fn geomean_cpi(cpis: impl Iterator<Item = f64>) -> f64 {
+    geometric_mean(&cpis.collect::<Vec<_>>()).expect("positive CPIs")
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,12 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "subset used for fast exploration: {}\n",
         subset.representatives.join(", ")
     );
-
-    let full: Vec<&Benchmark> = benchmarks.iter().collect();
-    let small: Vec<&Benchmark> = benchmarks
-        .iter()
-        .filter(|b| subset.contains(b.name()))
-        .collect();
 
     // Candidate designs: L1D size x predictor.
     let base = MachineConfig::skylake_i7_6700();
@@ -57,14 +46,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    // One fleet run per benchmark simulates all six designs from a single
+    // trace expansion: `cpis[b][d]` is benchmark b's CPI on design d.
+    let machines: Vec<MachineConfig> = designs.iter().map(|(_, m)| m.clone()).collect();
+    let fleet = FleetSimulator::new(&machines).with_warmup(60_000);
+    let cpis: Vec<Vec<f64>> = benchmarks
+        .iter()
+        .map(|b| {
+            let counters = fleet.run(b.profile(), 200_000, 42);
+            counters.iter().map(|c| c.cpi()).collect()
+        })
+        .collect();
+    let in_subset: Vec<bool> = benchmarks
+        .iter()
+        .map(|b| subset.contains(b.name()))
+        .collect();
+
     println!(
         "{:<20} {:>10} {:>12}  (geomean CPI, lower is better)",
         "design", "full suite", "3-subset"
     );
     let mut rankings: Vec<(String, f64, f64)> = Vec::new();
-    for (name, machine) in &designs {
-        let full_cpi = geomean_cpi(&full, machine);
-        let subset_cpi = geomean_cpi(&small, machine);
+    for (d, (name, _)) in designs.iter().enumerate() {
+        let full_cpi = geomean_cpi(cpis.iter().map(|row| row[d]));
+        let subset_cpi = geomean_cpi(
+            cpis.iter()
+                .zip(&in_subset)
+                .filter(|(_, &keep)| keep)
+                .map(|(row, _)| row[d]),
+        );
         println!("{name:<20} {full_cpi:>10.3} {subset_cpi:>12.3}");
         rankings.push((name.clone(), full_cpi, subset_cpi));
     }
