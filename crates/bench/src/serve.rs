@@ -773,10 +773,6 @@ fn healthz(state: &ServerState) -> Response {
         ("queue_cap".into(), json_num(state.opts.queue_cap)),
         ("runs_pending".into(), json_num(state.sched.pending())),
         (
-            "engine_inflight_waiting".into(),
-            json_num(state.engine.inflight_waiting()),
-        ),
-        (
             "queue_depth".into(),
             json_num(state.queue_depth.load(Ordering::SeqCst)),
         ),

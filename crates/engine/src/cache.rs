@@ -12,6 +12,7 @@ use horizon_core::campaign::Measurement;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 use crate::fingerprint::{Fingerprint, SCHEMA_VERSION};
@@ -84,9 +85,13 @@ impl DiskCache {
     }
 
     /// Stores a measurement. Best-effort: reports success, and leaves any
-    /// prior entry untouched on failure (writes go through a temp file and
-    /// an atomic rename, so readers never see partial JSON).
+    /// prior entry untouched on failure. Each call writes a temp file of its
+    /// own (named by process id and a process-wide counter) and renames it
+    /// over the entry, so concurrent writers of one key, in one process or
+    /// several sharing the directory, never truncate each other's file, and
+    /// readers never see partial JSON.
     pub fn store(&self, fingerprint: &Fingerprint, measurement: &Measurement) -> bool {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let entry = CacheEntry {
             version: SCHEMA_VERSION,
             fingerprint: fingerprint.as_str().to_string(),
@@ -96,7 +101,9 @@ impl DiskCache {
             return false;
         };
         let path = self.entry_path(fingerprint);
-        let tmp = self.dir.join(format!(".{fingerprint}.tmp"));
+        let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        let tmp = self.dir.join(format!(".{fingerprint}.{pid}.{writer}.tmp"));
         let write = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(&tmp)?;
             file.write_all(text.as_bytes())?;
@@ -316,6 +323,52 @@ mod tests {
         for (fp, _) in &entries {
             assert!(cache.load(fp).is_some());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writers of one key never clobber each other's temp file, so every
+    /// store publishes a whole entry and a reader always finds one. Failures
+    /// are counted, not asserted in the threads, so a broken store fails
+    /// the test instead of stranding the readers.
+    #[test]
+    fn concurrent_stores_and_loads_of_one_key_never_miss() {
+        use std::sync::atomic::AtomicUsize;
+        let dir = temp_dir("concurrent");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (fp, m) = sample();
+        assert!(cache.store(&fp, &m));
+        let writers = AtomicUsize::new(4);
+        let (failed_stores, missed_loads, loads) = std::thread::scope(|scope| {
+            let stores: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let failed = (0..300).filter(|_| !cache.store(&fp, &m)).count();
+                        writers.fetch_sub(1, Ordering::SeqCst);
+                        failed
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (mut missed, mut loads) = (0, 0);
+                        while writers.load(Ordering::SeqCst) > 0 {
+                            missed += usize::from(cache.load(&fp).as_ref() != Some(&m));
+                            loads += 1;
+                        }
+                        (missed, loads)
+                    })
+                })
+                .collect();
+            let failed: usize = stores.into_iter().map(|h| h.join().unwrap()).sum();
+            let (missed, loads) = readers
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold((0, 0), |acc, r| (acc.0 + r.0, acc.1 + r.1));
+            (failed, missed, loads)
+        });
+        assert_eq!(failed_stores, 0, "stores that failed, of 1,200");
+        assert_eq!(missed_loads, 0, "loads that missed, of {loads}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,30 +22,29 @@
 //!    machine's available parallelism.
 //! 3. **Memoization** — results are kept in an in-memory memo table and,
 //!    optionally, an on-disk JSON cache ([`DiskCache`]), so each unique
-//!    job simulates exactly once per process (and at most once per cache
-//!    lifetime across processes).
-//! 4. **In-flight coalescing** — campaigns running *concurrently* on one
-//!    engine (e.g. overlapping `repro serve` requests) claim their memo
-//!    misses in a shared in-flight table under the memo lock. The first
-//!    claimant of a fingerprint leads and simulates it; later claimants
-//!    follow and receive the leader's published measurement, so
-//!    overlapping campaigns never duplicate work even before anything
-//!    reaches the memo. A leader that dies before publishing fails its
-//!    followers with a clean error — no waiter hangs, no partial memo
-//!    entry ([`Engine::inflight_waiting`] reports live waiters).
+//!    job simulates once per process as long as the campaigns that need
+//!    it do not overlap in time (and at most once per cache lifetime
+//!    across processes). A call writes its new results to both only after
+//!    all of its simulation has finished, so a call that unwinds memoizes
+//!    nothing. Campaigns that do overlap on one engine may each simulate a
+//!    job they share; that costs time and never changes a result (see
+//!    *Determinism*). Identical concurrent requests share one run one layer
+//!    up, in the `repro serve` run scheduler.
 //!
 //! # Determinism
 //!
 //! Campaign results are **bit-identical regardless of thread count, job
-//! ordering, or cache state**. This holds because each job's structural
+//! ordering, cache state, or campaigns running alongside on the same
+//! engine**. This holds because each job's structural
 //! counters are a pure function of its fingerprinted inputs: simulation is
 //! deterministic given `(profile, microarchitecture, window, warmup,
 //! seed)`, and a cell's remaining fields are a pure function of those
 //! counters and the cell's machine; workers share nothing but the job
 //! queue; the JSON cache round-trips every counter and float losslessly
 //! (text-preserved integers, shortest-round-trip floats); and grids are
-//! assembled by cell index, not completion order. Scheduling and caching decide only *when and whether*
-//! a job is simulated, never *what it computes*.
+//! assembled by cell index, not completion order. Scheduling and caching
+//! decide only *when and whether* a job is simulated, never *what it
+//! computes*.
 //!
 //! # Telemetry
 //!
@@ -53,11 +52,10 @@
 //! opens an `engine.campaign` span with child stage spans
 //! (`engine.expand`, `engine.probe`, `engine.simulate`, `engine.integrate`,
 //! `engine.assemble`) and one `engine.job` span per unique job carrying
-//! `workload` / `machine` / `outcome` (`"memo"`, `"disk"`, `"coalesced"`,
-//! or `"simulated"`) fields; worker-side job spans are explicitly parented
+//! `workload` / `machine` / `outcome` (`"memo"`, `"disk"` or
+//! `"simulated"`) fields; worker-side job spans are explicitly parented
 //! to the campaign span. Counters (`engine.campaigns`, `engine.cells`,
-//! `engine.unique_jobs`, `engine.simulated_jobs`, `engine.coalesced_jobs`,
-//! `engine.memo_hits`,
+//! `engine.unique_jobs`, `engine.simulated_jobs`, `engine.memo_hits`,
 //! `engine.disk_hits`, `engine.simulated_instructions`,
 //! `engine.simulation_wall_nanos`, `engine.elapsed_nanos`) and histograms
 //! (`engine.queue_wait_ns`, `engine.job_wall_ns`) accumulate alongside.
@@ -76,7 +74,6 @@
 mod cache;
 mod cost;
 mod fingerprint;
-mod inflight;
 mod stats;
 
 pub use cache::{DiskCache, GcReport};
@@ -84,7 +81,6 @@ pub use cost::estimated_cost;
 pub use fingerprint::{Fingerprint, SCHEMA_VERSION};
 pub use stats::{EngineStats, JobTiming};
 
-use crate::inflight::{Claim, FollowerTicket, InflightTable, LeaderGuard};
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::Recorder;
 use horizon_trace::WorkloadProfile;
@@ -120,7 +116,6 @@ pub struct Engine {
     jobs: Option<usize>,
     disk: Option<DiskCache>,
     memo: Mutex<HashMap<Fingerprint, Measurement>>,
-    inflight: InflightTable,
     recorder: Arc<Recorder>,
     progress: Option<ProgressCallback>,
 }
@@ -139,7 +134,6 @@ impl Engine {
             jobs: None,
             disk: None,
             memo: Mutex::new(HashMap::new()),
-            inflight: InflightTable::default(),
             recorder: Arc::new(Recorder::new()),
             progress: None,
         }
@@ -210,14 +204,6 @@ impl Engine {
     /// health endpoint reports.
     pub fn memo_entries(&self) -> usize {
         self.memo.lock().expect("memo lock").len()
-    }
-
-    /// Campaigns' follower jobs currently blocked waiting on another
-    /// campaign's in-flight simulation of the same fingerprint. A health
-    /// endpoint reports this as live coalescing pressure; it is `0`
-    /// whenever no campaigns overlap.
-    pub fn inflight_waiting(&self) -> usize {
-        self.inflight.waiting()
     }
 
     /// Registers a progress callback, invoked once per unique job as it
@@ -305,71 +291,39 @@ impl Engine {
 
         // Phase 2: serve jobs from the memo table, then the disk cache.
         // Cached jobs get their span here, implicitly nested under
-        // engine.probe (itself under engine.campaign). Each memo miss is
-        // claimed in the in-flight table *while the memo lock is held*:
-        // publication inserts into the memo before retiring the in-flight
-        // entry, so under the lock every job is either memoized, in
-        // flight (another campaign leads it — we follow), or genuinely
-        // unstarted (we lead it). There is no window in which two
-        // campaigns can both decide to simulate the same fingerprint.
+        // engine.probe (itself under engine.campaign). The memo lock is
+        // held only for the lookups, never across disk I/O or a progress
+        // callback.
         let probe_span = rec.phase_span("engine.probe");
-        let mut resolved: Vec<Option<Measurement>> = vec![None; jobs.len()];
-        let mut leaders: Vec<Option<LeaderGuard<'_>>> = Vec::with_capacity(jobs.len());
-        let mut followers: Vec<(usize, FollowerTicket)> = Vec::new();
-        let mut memo_hits = 0u64;
-        let mut disk_hits = 0u64;
-        {
+        let mut resolved: Vec<Option<Measurement>> = {
             let memo = self.memo.lock().expect("memo lock");
-            for (id, fp) in fingerprints.iter().enumerate() {
-                if let Some(m) = memo.get(fp) {
-                    resolved[id] = Some(m.clone());
-                    memo_hits += 1;
-                    let (w, mach) = jobs[id];
-                    let mut span = rec.span("engine.job");
-                    span.record("workload", profiles[w].name());
-                    span.record("machine", machines[mach].name.as_str());
-                    span.record("outcome", "memo");
-                    leaders.push(None);
-                } else {
-                    match self.inflight.claim(fp) {
-                        Claim::Leader(guard) => leaders.push(Some(guard)),
-                        Claim::Follower(ticket) => {
-                            followers.push((id, ticket));
-                            leaders.push(None);
-                        }
-                    }
-                }
-            }
-        }
-        // Disk hits are published too: a follower waiting on this
-        // fingerprint in another campaign gets fed from here.
-        if let Some(disk) = &self.disk {
-            for (id, fp) in fingerprints.iter().enumerate() {
-                if leaders[id].is_some() {
-                    if let Some(m) = disk.load(fp) {
-                        leaders[id]
-                            .take()
-                            .expect("leader checked above")
-                            .publish(&m, &self.memo);
-                        resolved[id] = Some(m);
-                        disk_hits += 1;
-                        let (w, mach) = jobs[id];
-                        let mut span = rec.span("engine.job");
-                        span.record("workload", profiles[w].name());
-                        span.record("machine", machines[mach].name.as_str());
-                        span.record("outcome", "disk");
-                    }
-                }
-            }
-        }
-
+            fingerprints
+                .iter()
+                .map(|fp| memo.get(fp).cloned())
+                .collect()
+        };
+        let memoized: Vec<bool> = resolved.iter().map(Option::is_some).collect();
         let completed = AtomicUsize::new(0);
         let total = jobs.len();
-        for (id, m) in resolved.iter().enumerate() {
-            if m.is_some() {
-                let (w, mach) = jobs[id];
-                self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
-            }
+        let (mut memo_hits, mut disk_hits) = (0u64, 0u64);
+        for (id, fp) in fingerprints.iter().enumerate() {
+            let outcome = if memoized[id] {
+                memo_hits += 1;
+                "memo"
+            } else if let Some(m) = self.disk.as_ref().and_then(|disk| disk.load(fp)) {
+                resolved[id] = Some(m);
+                disk_hits += 1;
+                "disk"
+            } else {
+                continue;
+            };
+            let (w, mach) = jobs[id];
+            let mut span = rec.span("engine.job");
+            span.record("workload", profiles[w].name());
+            span.record("machine", machines[mach].name.as_str());
+            span.record("outcome", outcome);
+            drop(span);
+            self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
         }
         drop(probe_span);
 
@@ -379,9 +333,9 @@ impl Engine {
         // profile digests share [`Fingerprint::of_profile`] — replay the
         // identical instruction stream, so one `Campaign::measure_fleet`
         // call simulates all their machines in a single streaming pass,
-        // bit-identical to per-job simulation. Workers claim whole batches through an
-        // atomic cursor; per-job results land in per-job slots, so
-        // ordering never matters for the output. Batches are sorted
+        // bit-identical to per-job simulation. Workers claim whole batches
+        // through an atomic cursor; per-job results land in per-job slots,
+        // so ordering never matters for the output. Batches are sorted
         // largest-estimated-cost-first (LPT) so the longest batch starts
         // earliest and cannot become a lone tail; ties break by first job
         // id to keep the order deterministic. Batch composition depends
@@ -393,10 +347,8 @@ impl Engine {
             .collect();
         let mut batch_index: HashMap<&Fingerprint, usize> = HashMap::new();
         // Per batch: (workload index of the first job, member job ids).
-        // Only jobs this campaign leads are scheduled; followed jobs are
-        // collected from their leaders after the pool drains.
         let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
-        for id in (0..jobs.len()).filter(|&id| leaders[id].is_some()) {
+        for id in (0..jobs.len()).filter(|&id| resolved[id].is_none()) {
             let w = jobs[id].0;
             match batch_index.entry(&profile_digests[w]) {
                 std::collections::hash_map::Entry::Occupied(e) => {
@@ -413,38 +365,15 @@ impl Engine {
                 .cmp(&profile_cost[a.0])
                 .then(a.1[0].cmp(&b.1[0]))
         });
-        // Flat batch-major job list: slot i holds the result for job
-        // `misses[i]`, and batch `b` owns the contiguous slot range
-        // starting at `batch_start[b]`.
-        let misses: Vec<usize> = batches
-            .iter()
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
-        let batch_start: Vec<usize> = batches
-            .iter()
-            .scan(0usize, |acc, (_, ids)| {
-                let start = *acc;
-                *acc += ids.len();
-                Some(start)
-            })
-            .collect();
+        let simulated = batches.iter().map(|(_, ids)| ids.len()).sum::<usize>();
         let workers = if batches.is_empty() {
             0
         } else {
             self.worker_count(batches.len())
         };
+        // Per job id: the simulated measurement and its wall-clock share.
         let slots: Vec<OnceLock<(Measurement, u64)>> =
-            misses.iter().map(|_| OnceLock::new()).collect();
-        // In-flight guards, batch-major like `slots`. A worker takes a
-        // batch's guards before simulating; if the simulation (or the
-        // progress callback) panics, the unwound guards flip their slots
-        // to failed and every follower in other campaigns gets a clean
-        // error instead of hanging. Guards for batches no worker reached
-        // drop the same way when this frame unwinds.
-        let guards: Vec<Mutex<Option<LeaderGuard<'_>>>> = misses
-            .iter()
-            .map(|&id| Mutex::new(leaders[id].take()))
-            .collect();
+            jobs.iter().map(|_| OnceLock::new()).collect();
         if !batches.is_empty() {
             let simulate_span = rec.phase_span("engine.simulate");
             let cursor = AtomicUsize::new(0);
@@ -463,15 +392,6 @@ impl Engine {
                     let (w, ids) = &batches[b];
                     let batch_machines: Vec<MachineConfig> =
                         ids.iter().map(|&id| machines[jobs[id].1].clone()).collect();
-                    let batch_guards: Vec<LeaderGuard<'_>> = (0..ids.len())
-                        .map(|k| {
-                            guards[batch_start[b] + k]
-                                .lock()
-                                .expect("guard slot")
-                                .take()
-                                .expect("each guard is taken once")
-                        })
-                        .collect();
                     let job_start = Instant::now();
                     let measurements = campaign.measure_fleet(&profiles[*w], &batch_machines);
                     let wall = job_start.elapsed().as_nanos() as u64;
@@ -479,9 +399,7 @@ impl Engine {
                     // so per-job accounting sums exactly to the batch.
                     let n = ids.len() as u64;
                     let (share, extra) = (wall / n, wall % n);
-                    for (k, ((&id, measurement), guard)) in
-                        ids.iter().zip(measurements).zip(batch_guards).enumerate()
-                    {
+                    for (k, (&id, measurement)) in ids.iter().zip(measurements).enumerate() {
                         let (jw, jm) = jobs[id];
                         let wall_nanos = share + u64::from((k as u64) < extra);
                         rec.histogram_record("engine.queue_wait_ns", queue_wait);
@@ -496,19 +414,10 @@ impl Engine {
                         job_span.record("wall_ns", wall_nanos);
                         drop(job_span);
                         rec.histogram_record("engine.job_wall_ns", wall_nanos);
-                        slots[batch_start[b] + k]
+                        slots[id]
                             .set((measurement, wall_nanos))
-                            .expect("each slot is claimed once");
+                            .expect("each job is simulated once");
                         self.emit_progress(&completed, total, &profiles[jw], &machines[jm], false);
-                        // Publish last: anything that panics above
-                        // (simulation, telemetry, the progress
-                        // callback) drops the guard unpublished and
-                        // fails co-waiters instead of feeding them a
-                        // result this campaign never vouched for.
-                        let (m, _) = slots[batch_start[b] + k]
-                            .get()
-                            .expect("slot set just above");
-                        guard.publish(m, &self.memo);
                     }
                 }
             };
@@ -521,60 +430,39 @@ impl Engine {
             drop(simulate_span);
         }
 
-        // Phase 3b: collect followed jobs from their leaders. Waited only
-        // after this campaign's own misses drained, so coalescing never
-        // idles the local pool. A leader that abandoned its job (panic or
-        // terminal error in the other campaign) fails this campaign too —
-        // loudly, with nothing partial memoized.
-        let coalesced = followers.len() as u64;
-        for (id, ticket) in followers {
-            let (w, mach) = jobs[id];
-            match ticket.wait() {
-                Ok(m) => {
-                    let mut span = rec.span("engine.job");
-                    span.set_parent(campaign_id);
-                    span.record("workload", profiles[w].name());
-                    span.record("machine", machines[mach].name.as_str());
-                    span.record("outcome", "coalesced");
-                    drop(span);
-                    resolved[id] = Some(m);
-                    self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
-                }
-                Err(error) => panic!(
-                    "coalesced job {} on {} failed in its leading campaign: {error}",
-                    profiles[w].name(),
-                    machines[mach].name,
-                ),
-            }
-        }
-
-        // Phase 4: integrate results into the disk cache and counters.
-        // Memo entries were already inserted at publication time (so
-        // co-waiting campaigns could read them); only this campaign's own
-        // simulated jobs are stored to disk.
+        // Phase 4: integrate. Only now, with every batch finished, do the
+        // call's new results reach the disk cache and the memo, so a call
+        // that unwinds (a panicking simulation or progress callback)
+        // leaves neither holding anything from it.
         let integrate_span = rec.phase_span("engine.integrate");
         let mut simulation_wall_nanos = 0u64;
-        for (slot, &id) in misses.iter().enumerate() {
-            let (measurement, wall_nanos) = slots[slot].get().expect("all jobs ran").clone();
-            if let Some(disk) = &self.disk {
-                disk.store(&fingerprints[id], &measurement);
+        for (id, slot) in slots.into_iter().enumerate() {
+            if let Some((measurement, wall_nanos)) = slot.into_inner() {
+                if let Some(disk) = &self.disk {
+                    disk.store(&fingerprints[id], &measurement);
+                }
+                simulation_wall_nanos += wall_nanos;
+                resolved[id] = Some(measurement);
             }
-            simulation_wall_nanos += wall_nanos;
-            resolved[id] = Some(measurement);
+        }
+        {
+            let mut memo = self.memo.lock().expect("memo lock");
+            for (id, fp) in fingerprints.iter().enumerate() {
+                if !memoized[id] {
+                    let measurement = resolved[id].clone().expect("job resolved");
+                    memo.insert(fp.clone(), measurement);
+                }
+            }
         }
         let window = campaign.instructions + campaign.warmup;
         rec.counter_add("engine.campaigns", 1);
         rec.counter_add("engine.cells", (profiles.len() * machines.len()) as u64);
         rec.counter_add("engine.unique_jobs", jobs.len() as u64);
-        rec.counter_add("engine.simulated_jobs", misses.len() as u64);
+        rec.counter_add("engine.simulated_jobs", simulated as u64);
         rec.counter_add("engine.fleet_batches", batches.len() as u64);
         rec.counter_add("engine.memo_hits", memo_hits);
         rec.counter_add("engine.disk_hits", disk_hits);
-        rec.counter_add("engine.coalesced_jobs", coalesced);
-        rec.counter_add(
-            "engine.simulated_instructions",
-            misses.len() as u64 * window,
-        );
+        rec.counter_add("engine.simulated_instructions", simulated as u64 * window);
         rec.counter_add("engine.simulation_wall_nanos", simulation_wall_nanos);
         drop(integrate_span);
 
@@ -600,7 +488,7 @@ impl Engine {
 
         campaign_span.record("cells", profiles.len() * machines.len());
         campaign_span.record("unique_jobs", jobs.len());
-        campaign_span.record("simulated", misses.len());
+        campaign_span.record("simulated", simulated);
         campaign_span.record("workers", workers);
         rec.counter_add(
             "engine.elapsed_nanos",

@@ -251,8 +251,9 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::fleet::FleetSimulator;
+    use crate::hierarchy::PrefetchConfig;
     use crate::tlb::TlbConfig;
-    use horizon_trace::Region;
+    use horizon_trace::{CodeModel, Region};
     use proptest::prelude::*;
 
     /// Serialized counters: a byte comparison also fails on a float that
@@ -487,5 +488,70 @@ mod tests {
         let paper = MachineConfig::table_iv_machines();
         let mixed = [degenerate, paper[0].clone(), paper[4].clone()];
         assert_fleet_matches(&mixed, 5_000, &profile, 40_000, 99);
+    }
+
+    /// A machine whose shared levels are each one small set: a one-line
+    /// L1I and L1D over a 4-way, one-set L2 with no L3, and one-entry L1
+    /// TLBs over a 2-way, one-set L2 TLB. An instruction whose fetch and
+    /// data access both miss their L1 sends both refills into the same set,
+    /// and the order they arrive in decides which of the two that set
+    /// evicts first.
+    fn one_set_machine() -> MachineConfig {
+        let mut m = MachineConfig::table_iv_machines()[0].clone();
+        m.name = "one-set-shared-levels".into();
+        m.hierarchy = HierarchyConfig {
+            l1i: CacheConfig::new(64, 1),
+            l1d: CacheConfig::new(64, 1),
+            l2: CacheConfig::new(256, 4),
+            l3: None,
+            prefetch: PrefetchConfig::none(),
+        };
+        m.tlb = TlbHierarchyConfig {
+            l1i: TlbConfig::new(1, 1),
+            l1d: TlbConfig::new(1, 1),
+            l2: Some(TlbConfig::new(2, 2)),
+        };
+        m
+    }
+
+    /// Code and data that each span `bytes`, all of it hot: footprints a
+    /// few times the shared set, so the set keeps meeting the lines or
+    /// pages it just evicted, and a wrong eviction shows in its counters.
+    fn small_footprint(bytes: u64) -> WorkloadProfile {
+        WorkloadProfile::builder("one-set")
+            .loads(0.3)
+            .stores(0.1)
+            .branches(0.15)
+            .code_model(CodeModel {
+                footprint_bytes: bytes,
+                hot_fraction: 1.0,
+                hot_bytes: bytes,
+            })
+            .regions(vec![Region::random(bytes, 1.0)])
+            .build()
+            .expect("valid profile")
+    }
+
+    /// Fixed gate for the cache back lane's merge: when one instruction
+    /// misses both L1s, its fetch reaches the L2 before its data access.
+    /// Eight code and eight data lines share one 4-way set.
+    #[test]
+    fn fetch_reaches_the_shared_l2_before_data_on_one_instruction() {
+        assert_fleet_matches(&[one_set_machine()], 0, &small_footprint(512), 40_000, 5);
+    }
+
+    /// Fixed gate for the TLB back lane's merge: when one instruction
+    /// misses both L1 TLBs, its instruction-side refill reaches the L2 TLB
+    /// before its data-side one. Four code and four data pages share one
+    /// 2-way set.
+    #[test]
+    fn instruction_refill_reaches_the_l2_tlb_before_data_on_one_instruction() {
+        assert_fleet_matches(
+            &[one_set_machine()],
+            0,
+            &small_footprint(16 << 10),
+            40_000,
+            5,
+        );
     }
 }
