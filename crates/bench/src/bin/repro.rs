@@ -16,9 +16,9 @@
 //!   --progress          live progress lines on stderr while the run
 //!                       executes (phases, jobs done/total, ETA); stdout
 //!                       report bytes are unaffected
-//!   --trace-out <FILE>  write the run's telemetry trace as JSONL
 //!   --metrics-out <FILE> write counters/histograms in Prometheus text form
 //!   --otlp-out <FILE>   write spans as an OTLP/JSON trace-export document
+//!                       (span records are kept only when it is given)
 //!   --max-entries <N>   cache-gc: measurement entries to keep (default 1024)
 //!   --addr <HOST:PORT>  serve: bind address (default 127.0.0.1:7878)
 //!   --workers <N>       serve: request worker threads
@@ -35,7 +35,7 @@
 //!
 //! Unknown flags are rejected with exit code 2. Experiment reports go to
 //! stdout and are bit-identical regardless of `--jobs` or cache state;
-//! statistics, traces and metrics go to stderr or files so report output
+//! statistics, spans and metrics go to stderr or files so report output
 //! stays diffable.
 
 use std::process::ExitCode;
@@ -56,7 +56,6 @@ struct Options {
     cache_dir: Option<String>,
     stats: bool,
     progress: bool,
-    trace_out: Option<String>,
     metrics_out: Option<String>,
     otlp_out: Option<String>,
     max_entries: Option<usize>,
@@ -69,17 +68,16 @@ struct Options {
     rate_limit: Option<u64>,
 }
 
-impl Options {
-    /// Whether the recorder keeps span records. Only `--stats`,
-    /// `--trace-out` and `--otlp-out` read them, so a daemon keeps them
-    /// only when one of those is given; otherwise its memory would grow
-    /// with every request. Batch runs are short-lived and always keep
-    /// them.
-    fn retains_spans(&self) -> bool {
-        self.target.as_deref() != Some("serve")
-            || self.stats
-            || self.trace_out.is_some()
-            || self.otlp_out.is_some()
+/// The process's recorder. It keeps span records only when `--otlp-out`
+/// will export them, in every mode: they are that sink's only input, so
+/// without it a batch run would hold every span until exit and a daemon
+/// would grow with every request. `--stats` and `--metrics-out` read the
+/// aggregates, which stay exact without records.
+fn recorder_for(opts: &Options) -> Recorder {
+    if opts.otlp_out.is_some() {
+        Recorder::new()
+    } else {
+        Recorder::new().with_span_capacity(0)
     }
 }
 
@@ -111,7 +109,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         cache_dir: None,
         stats: false,
         progress: false,
-        trace_out: None,
         metrics_out: None,
         otlp_out: None,
         max_entries: None,
@@ -149,7 +146,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                 opts.jobs = Some(n);
             }
             "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--otlp-out" => opts.otlp_out = Some(value("--otlp-out")?),
             "--max-entries" => {
@@ -231,7 +227,7 @@ const SUBCOMMANDS: &str = "all, list, serve, cache-gc, help";
 fn usage() {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--jobs N] [--cache-dir DIR] [--stats] \
-         [--progress] [--trace-out FILE] [--metrics-out FILE] [--otlp-out FILE]\n\
+         [--progress] [--metrics-out FILE] [--otlp-out FILE]\n\
          \x20      repro cache-gc --cache-dir DIR [--max-entries N]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--role router|worker] \
@@ -499,12 +495,7 @@ fn main() -> ExitCode {
     // simulator and analysis stages record into it) and shared with the
     // engine (so campaign/job spans and the derived stats join the same
     // trace).
-    let recorder = if opts.retains_spans() {
-        Recorder::new()
-    } else {
-        Recorder::new().with_span_capacity(0)
-    };
-    let recorder = Arc::new(recorder);
+    let recorder = Arc::new(recorder_for(&opts));
     horizon_telemetry::install(Arc::clone(&recorder));
 
     let mut engine = Engine::new().with_recorder(Arc::clone(&recorder));
@@ -523,9 +514,9 @@ fn main() -> ExitCode {
     let engine = Arc::new(engine);
     Arc::clone(&engine).install();
 
-    // Batch runs carry a telemetry run id: live bus events, the JSONL
-    // trace meta line and OTLP trace ids all attribute to it. Scoped on
-    // the main thread; the engine re-enters it on its workers.
+    // Batch runs carry a telemetry run id: live bus events and OTLP trace
+    // ids attribute to it. Scoped on the main thread; the engine re-enters
+    // it on its workers.
     let run_id = horizon_telemetry::next_run_id();
     let _run_scope = horizon_telemetry::RunScope::enter(run_id);
 
@@ -628,15 +619,6 @@ fn main() -> ExitCode {
         eprintln!("{}", EngineStats::from_snapshot(&snapshot).summary());
         eprintln!("{}", snapshot.render_phase_table());
     }
-    if let Some(path) = &opts.trace_out {
-        let experiment = is_experiment_run.then(|| opts.target.clone()).flatten();
-        if !write_sink(path, "trace", |out| {
-            horizon_telemetry::write_trace_with_meta(&snapshot, run_id, experiment.as_deref(), out)
-        }) && code == 0
-        {
-            code = 1;
-        }
-    }
     if let Some(path) = &opts.metrics_out {
         if !write_sink(path, "metrics", |out| {
             horizon_telemetry::write_prometheus(&snapshot, out)
@@ -660,28 +642,25 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn retains(args: &[&str]) -> bool {
+    /// Whether the recorder `repro ARGS` builds keeps a closed span.
+    fn keeps_span_records(args: &[&str]) -> bool {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        match parse_args(&args) {
-            Ok(opts) => opts.retains_spans(),
-            Err(e) => panic!("{e}"),
+        let opts = parse_args(&args).unwrap_or_else(|e| panic!("{e}"));
+        let recorder = Arc::new(recorder_for(&opts));
+        drop(recorder.span("probe"));
+        let snapshot = recorder.snapshot();
+        assert_eq!(snapshot.span_wall["probe"].count(), 1, "always timed");
+        !snapshot.spans.is_empty()
+    }
+
+    #[test]
+    fn span_records_are_kept_only_for_the_otlp_export() {
+        for mode in [&["serve"][..], &["all"], &["table1", "--quick"]] {
+            let with = |flags: &[&'static str]| [mode, flags].concat();
+            assert!(keeps_span_records(&with(&["--otlp-out", "o.json"])));
+            assert!(!keeps_span_records(&with(&["--stats"])));
+            assert!(!keeps_span_records(&with(&["--metrics-out", "m.txt"])));
+            assert!(!keeps_span_records(mode));
         }
-    }
-
-    #[test]
-    fn daemons_retain_spans_only_for_a_sink_that_reads_them() {
-        assert!(!retains(&["serve"]));
-        assert!(!retains(&["serve", "--role", "router", "--peers", "a:1"]));
-        assert!(!retains(&["serve", "--metrics-out", "m.txt"]));
-        assert!(retains(&["serve", "--stats"]));
-        assert!(retains(&["serve", "--trace-out", "t.jsonl"]));
-        assert!(retains(&["serve", "--otlp-out", "o.json"]));
-    }
-
-    #[test]
-    fn batch_runs_always_retain_spans() {
-        assert!(retains(&["all"]));
-        assert!(retains(&["table1", "--quick"]));
-        assert!(retains(&["cache-gc", "--max-entries", "1"]));
     }
 }

@@ -86,11 +86,11 @@ pub(crate) struct RunOutput {
     pub report: Result<Report, String>,
     /// Wall time of the execution itself (not any queue wait).
     pub wall_ms: u128,
-    /// Engine memo hits observed during the execution.
+    /// Engine memo hits of this execution's own jobs.
     pub memo_hits_delta: u64,
-    /// Engine disk-cache hits observed during the execution.
+    /// Engine disk-cache hits of this execution's own jobs.
     pub disk_hits_delta: u64,
-    /// Jobs actually simulated during the execution.
+    /// Jobs this execution simulated.
     pub simulated_jobs_delta: u64,
 }
 
@@ -323,15 +323,15 @@ impl RunScheduler {
 fn execute(shared: &SchedShared, run: QueuedRun) {
     let rec = &shared.recorder;
     rec.gauge_add("serve.active_runs", 1);
-    let before_memo = rec.counter_value("engine.memo_hits");
-    let before_disk = rec.counter_value("engine.disk_hits");
-    let before_sim = rec.counter_value("engine.simulated_jobs");
     let started = Instant::now();
     // Attribute everything this run records or publishes on the live bus
-    // (the engine re-enters the scope on its own workers).
-    let run_scope = horizon_telemetry::RunScope::enter(run.slot.run_id());
-    let result = catch_unwind(AssertUnwindSafe(|| run_report(run.experiment, &run.cfg)));
-    drop(run_scope);
+    // to its run id (the engine re-enters the scope on its own workers),
+    // and tally the engine counters it adds apart from those of runs
+    // executing beside it.
+    let (result, tally) = rec.tally_run(run.slot.run_id(), || {
+        catch_unwind(AssertUnwindSafe(|| run_report(run.experiment, &run.cfg)))
+    });
+    let own = |counter: &str| tally.get(counter).copied().unwrap_or(0);
     let report = match result {
         Ok(Ok(report)) => Ok(report),
         Ok(Err(e)) => Err(format!("experiment '{}': {e}", run.experiment.id)),
@@ -350,9 +350,9 @@ fn execute(shared: &SchedShared, run: QueuedRun) {
     let output = RunOutput {
         report,
         wall_ms: started.elapsed().as_millis(),
-        memo_hits_delta: rec.counter_value("engine.memo_hits") - before_memo,
-        disk_hits_delta: rec.counter_value("engine.disk_hits") - before_disk,
-        simulated_jobs_delta: rec.counter_value("engine.simulated_jobs") - before_sim,
+        memo_hits_delta: own("engine.memo_hits"),
+        disk_hits_delta: own("engine.disk_hits"),
+        simulated_jobs_delta: own("engine.simulated_jobs"),
     };
     // Retire the key and settle the books *before* publishing: a waiter
     // that wakes on the publish may immediately read the scheduler's

@@ -26,27 +26,22 @@ fn run(args: &[&str]) -> Output {
         .expect("repro binary runs")
 }
 
-/// Parses a JSONL trace, asserting every line is valid JSON and the first
-/// line is a schema-2 meta record. Returns one `Value` per line.
-fn parse_trace(path: &std::path::Path) -> Vec<Value> {
-    let text = std::fs::read_to_string(path).expect("trace file exists");
-    let lines: Vec<Value> = text
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            serde_json::from_str::<Value>(line)
-                .unwrap_or_else(|e| panic!("trace line {} is not JSON ({e:?}): {line}", i + 1))
-        })
-        .collect();
-    assert!(!lines.is_empty(), "trace is empty");
-    let meta = &lines[0];
-    assert_eq!(
-        str_field(meta, "type"),
-        "meta",
-        "first line is the meta record"
-    );
-    assert_eq!(num_field(meta, "schema"), 2, "schema version");
-    lines
+/// The spans of an OTLP/JSON export (`--otlp-out`), asserting the
+/// `resourceSpans` → `scopeSpans` → `spans` hierarchy.
+fn otlp_spans(path: &std::path::Path) -> Vec<Value> {
+    let text = std::fs::read_to_string(path).expect("otlp file exists");
+    let doc: Value = serde_json::from_str(text.trim()).expect("otlp is JSON");
+    let Ok(Value::Seq(resource_spans)) = doc.field("resourceSpans") else {
+        panic!("no resourceSpans: {text}");
+    };
+    let Ok(Value::Seq(scope_spans)) = resource_spans[0].field("scopeSpans") else {
+        panic!("no scopeSpans");
+    };
+    let Ok(Value::Seq(spans)) = scope_spans[0].field("spans") else {
+        panic!("no spans");
+    };
+    assert!(!spans.is_empty(), "otlp export has no spans");
+    spans.clone()
 }
 
 fn str_field<'a>(v: &'a Value, name: &str) -> &'a str {
@@ -56,34 +51,56 @@ fn str_field<'a>(v: &'a Value, name: &str) -> &'a str {
     }
 }
 
-fn num_field(v: &Value, name: &str) -> u64 {
-    match v.field(name).expect("field present") {
-        Value::Num(raw) => raw.parse().expect("integer field"),
-        other => panic!("field '{name}' is not a number: {other:?}"),
-    }
+/// One OTLP span attribute's value (`stringValue` or `intValue`, both
+/// rendered as strings), if the span carries it.
+fn attribute<'a>(span: &'a Value, key: &str) -> Option<&'a str> {
+    let Ok(Value::Seq(attributes)) = span.field("attributes") else {
+        panic!("span without attributes: {span:?}");
+    };
+    let kv = attributes.iter().find(|kv| str_field(kv, "key") == key)?;
+    let value = kv.field("value").expect("attribute value");
+    ["stringValue", "intValue"]
+        .iter()
+        .find_map(|kind| value.field(kind).ok())
+        .map(|v| match v {
+            Value::Str(s) => s.as_str(),
+            other => panic!("attribute '{key}' is not a string: {other:?}"),
+        })
 }
 
-/// Span counts per name, plus counter name → value.
-fn trace_shape(lines: &[Value]) -> (BTreeMap<String, usize>, BTreeMap<String, u64>) {
-    let mut spans: BTreeMap<String, usize> = BTreeMap::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    for line in lines {
-        match str_field(line, "type") {
-            "span" => {
-                *spans
-                    .entry(str_field(line, "name").to_string())
-                    .or_default() += 1
-            }
-            "counter" => {
-                counters.insert(
-                    str_field(line, "name").to_string(),
-                    num_field(line, "value"),
-                );
-            }
-            _ => {}
-        }
+/// The spans named `name`.
+fn named<'a>(spans: &'a [Value], name: &str) -> Vec<&'a Value> {
+    spans
+        .iter()
+        .filter(|s| str_field(s, "name") == name)
+        .collect()
+}
+
+/// Span counts per name.
+fn span_counts(spans: &[Value]) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for span in spans {
+        *counts
+            .entry(str_field(span, "name").to_string())
+            .or_default() += 1;
     }
-    (spans, counters)
+    counts
+}
+
+/// Counter name → value from a Prometheus text exposition
+/// (`--metrics-out`): every series declared `# TYPE <name> counter`.
+fn counters(metrics: &str) -> BTreeMap<String, u64> {
+    let declared: BTreeSet<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.strip_suffix(" counter"))
+        .collect();
+    metrics
+        .lines()
+        .filter_map(|l| l.split_once(' '))
+        .filter(|(name, _)| declared.contains(name))
+        .map(|(name, value)| (name.to_string(), value.parse().expect("counter value")))
+        .collect()
 }
 
 #[test]
@@ -91,51 +108,52 @@ fn traces_are_structurally_identical_across_worker_counts() {
     let dir = scratch_dir("determinism");
     let mut outputs = Vec::new();
     for jobs in ["1", "8"] {
-        let trace = dir.join(format!("trace-{jobs}.jsonl"));
+        let otlp = dir.join(format!("otlp-{jobs}.json"));
         let metrics = dir.join(format!("metrics-{jobs}.txt"));
         let out = run(&[
             "all",
             "--quick",
             "--jobs",
             jobs,
-            "--trace-out",
-            trace.to_str().unwrap(),
+            "--otlp-out",
+            otlp.to_str().unwrap(),
             "--metrics-out",
             metrics.to_str().unwrap(),
         ]);
         assert!(out.status.success(), "jobs={jobs}: {:?}", out.status);
-        outputs.push((out, trace, metrics));
+        let metrics = std::fs::read_to_string(&metrics).expect("metrics file exists");
+        outputs.push((out, otlp_spans(&otlp), metrics));
     }
 
     // Reports are bit-identical regardless of parallelism, and telemetry
     // never leaks into them.
     assert_eq!(outputs[0].0.stdout, outputs[1].0.stdout);
     let stdout = String::from_utf8(outputs[0].0.stdout.clone()).unwrap();
-    assert!(
-        !stdout.contains("\"type\""),
-        "trace records leaked to stdout"
-    );
+    assert!(!stdout.contains("\"traceId\""), "spans leaked to stdout");
     assert!(!stdout.contains("horizon_"), "metrics leaked to stdout");
 
-    // The traces hold the same spans (per-name counts) and the same
-    // counters; only wall-clock values may differ.
-    let shape1 = trace_shape(&parse_trace(&outputs[0].1));
-    let shape8 = trace_shape(&parse_trace(&outputs[1].1));
-    assert_eq!(shape1.0, shape8.0, "span counts differ across --jobs");
+    // The traces hold the same spans (per-name counts) and the metrics the
+    // same counters; only wall-clock values may differ.
+    let spans1 = span_counts(&outputs[0].1);
+    assert_eq!(
+        spans1,
+        span_counts(&outputs[1].1),
+        "span counts differ across --jobs"
+    );
+    let (counters1, counters8) = (counters(&outputs[0].2), counters(&outputs[1].2));
     let counter_names = |m: &BTreeMap<String, u64>| m.keys().cloned().collect::<BTreeSet<String>>();
-    assert_eq!(counter_names(&shape1.1), counter_names(&shape8.1));
-    for (name, value) in &shape1.1 {
+    assert_eq!(counter_names(&counters1), counter_names(&counters8));
+    for (name, value) in &counters1 {
         if name.contains("nanos") {
             continue; // wall clock legitimately varies
         }
         assert_eq!(
-            shape8.1[name], *value,
+            counters8[name], *value,
             "counter '{name}' differs across --jobs"
         );
     }
 
     // Every experiment and pipeline stage is represented by spans.
-    let (spans, counters) = shape1;
     for required in [
         "experiment",
         "engine.campaign",
@@ -152,19 +170,22 @@ fn traces_are_structurally_identical_across_worker_counts() {
         "core.validate",
     ] {
         assert!(
-            spans.contains_key(required),
+            spans1.contains_key(required),
             "no '{required}' spans in trace"
         );
     }
     assert!(
-        spans["experiment"] >= 18,
+        spans1["experiment"] >= 18,
         "one span per registry experiment"
     );
-    assert_eq!(counters["engine.unique_jobs"], spans["engine.job"] as u64);
+    assert_eq!(
+        counters1["horizon_engine_unique_jobs"],
+        spans1["engine.job"] as u64
+    );
 
     // Prometheus output carries the cache counters and the per-phase
     // wall-clock histogram the acceptance criteria ask for.
-    let metrics = std::fs::read_to_string(&outputs[0].2).unwrap();
+    let metrics = &outputs[0].2;
     for required in [
         "horizon_engine_memo_hits",
         "horizon_engine_disk_hits",
@@ -180,34 +201,29 @@ fn traces_are_structurally_identical_across_worker_counts() {
 #[test]
 fn spans_nest_under_their_campaign() {
     let dir = scratch_dir("nesting");
-    let trace = dir.join("trace.jsonl");
-    let out = run(&["table1", "--quick", "--trace-out", trace.to_str().unwrap()]);
+    let otlp = dir.join("otlp.json");
+    let out = run(&["table1", "--quick", "--otlp-out", otlp.to_str().unwrap()]);
     assert!(out.status.success());
 
-    let lines = parse_trace(&trace);
-    let spans: Vec<&Value> = lines
-        .iter()
-        .filter(|l| str_field(l, "type") == "span")
-        .collect();
+    let spans = otlp_spans(&otlp);
     let find = |name: &str| {
-        spans
-            .iter()
-            .find(|s| str_field(s, "name") == name)
+        *named(&spans, name)
+            .first()
             .unwrap_or_else(|| panic!("no '{name}' span"))
     };
-    let experiment_id = num_field(find("experiment"), "id");
+    let experiment_id = str_field(find("experiment"), "spanId");
     let campaign = find("engine.campaign");
-    assert_eq!(num_field(campaign, "parent"), experiment_id);
-    let campaign_id = num_field(campaign, "id");
-    for s in spans
-        .iter()
-        .filter(|s| str_field(s, "name") == "engine.job")
-    {
-        assert_eq!(num_field(s, "parent"), campaign_id, "job outside campaign");
-        let fields = s.field("fields").unwrap();
-        assert_eq!(str_field(fields, "outcome"), "simulated");
-        assert!(!str_field(fields, "workload").is_empty());
-        assert!(!str_field(fields, "machine").is_empty());
+    assert_eq!(str_field(campaign, "parentSpanId"), experiment_id);
+    let campaign_id = str_field(campaign, "spanId");
+    for s in named(&spans, "engine.job") {
+        assert_eq!(
+            str_field(s, "parentSpanId"),
+            campaign_id,
+            "job outside campaign"
+        );
+        assert_eq!(attribute(s, "outcome"), Some("simulated"));
+        assert!(!attribute(s, "workload").unwrap().is_empty());
+        assert!(!attribute(s, "machine").unwrap().is_empty());
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -295,15 +311,15 @@ fn removed_store_and_sampling_flags_are_unknown() {
 fn progress_and_otlp_sinks_leave_the_report_bytes_alone() {
     let dir = scratch_dir("progress-otlp");
     let otlp = dir.join("otlp.json");
-    let trace = dir.join("trace.jsonl");
+    let metrics = dir.join("metrics.txt");
     let with_sinks = run(&[
         "table1",
         "--quick",
         "--progress",
         "--otlp-out",
         otlp.to_str().unwrap(),
-        "--trace-out",
-        trace.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
     ]);
     assert!(with_sinks.status.success());
     let plain = run(&["table1", "--quick"]);
@@ -326,35 +342,28 @@ fn progress_and_otlp_sinks_leave_the_report_bytes_alone() {
         "no job-count progress lines: {stderr}"
     );
 
-    // The trace meta line attributes the run (schema 2).
-    let lines = parse_trace(&trace);
-    assert!(num_field(&lines[0], "run") > 0);
-    assert_eq!(str_field(&lines[0], "experiment"), "table1");
-
-    // The OTLP document is one JSON object with the resourceSpans →
-    // scopeSpans → spans hierarchy, spec-length hex ids, and every span
-    // in the same (run-derived) trace.
-    let text = std::fs::read_to_string(&otlp).expect("otlp file exists");
-    let doc: Value = serde_json::from_str(text.trim()).expect("otlp is JSON");
-    let Ok(Value::Seq(resource_spans)) = doc.field("resourceSpans") else {
-        panic!("no resourceSpans: {text}");
-    };
-    let Ok(Value::Seq(scope_spans)) = resource_spans[0].field("scopeSpans") else {
-        panic!("no scopeSpans");
-    };
-    let Ok(Value::Seq(spans)) = scope_spans[0].field("spans") else {
-        panic!("no spans");
-    };
-    assert!(!spans.is_empty(), "otlp export has no spans");
+    // The OTLP document has spec-length hex ids and every span in the
+    // same (run-derived) trace, each attributed to the run, and the
+    // experiment span names its experiment.
+    let spans = otlp_spans(&otlp);
     let trace_id = str_field(&spans[0], "traceId");
     assert_eq!(trace_id.len(), 32);
-    for span in spans {
+    let run_id = attribute(&spans[0], "horizon.run").expect("run attribute");
+    assert!(run_id.parse::<u64>().unwrap() > 0, "attributed to a run");
+    for span in &spans {
         assert_eq!(str_field(span, "traceId"), trace_id, "one run, one trace");
+        assert_eq!(attribute(span, "horizon.run"), Some(run_id));
         assert_eq!(str_field(span, "spanId").len(), 16);
         let start: u64 = str_field(span, "startTimeUnixNano").parse().unwrap();
         let end: u64 = str_field(span, "endTimeUnixNano").parse().unwrap();
         assert!(start <= end);
     }
+    let experiments = named(&spans, "experiment");
+    assert_eq!(experiments.len(), 1);
+    assert_eq!(attribute(experiments[0], "id"), Some("table1"));
+    // Every record was kept: none dropped past the span cap.
+    let metrics = std::fs::read_to_string(&metrics).expect("metrics file exists");
+    assert_eq!(counters(&metrics)["horizon_dropped_spans"], 0);
 
     // `--progress` is an experiment-run flag; elsewhere it is a usage
     // error, same as the misplaced serve flags.
@@ -370,7 +379,7 @@ fn unknown_flags_and_experiments_are_rejected() {
     assert_eq!(out.status.code(), Some(2));
     let out = run(&["no-such-experiment"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = run(&["table1", "--trace-out"]);
+    let out = run(&["table1", "--metrics-out"]);
     assert_eq!(out.status.code(), Some(2), "missing flag value");
     let out = run(&["table1", "--otlp-out"]);
     assert_eq!(out.status.code(), Some(2), "missing flag value");

@@ -254,6 +254,53 @@ fn mixed_distinct_runs_all_complete() {
     assert_eq!(code, 0);
 }
 
+/// Runs that overlap on the daemon's run workers each report only their
+/// own jobs: a pair of distinct cold runs released together, each on a
+/// seed no other run uses, reads exactly its own 43 simulated jobs, not the
+/// jobs its neighbour simulated meanwhile.
+#[test]
+fn overlapping_runs_report_only_their_own_engine_deltas() {
+    let daemon = Arc::new(Daemon::spawn(&["--workers", "2", "--jobs", "1"]));
+    for trial in 0..3u64 {
+        let runs = [("table1", 100 + 2 * trial), ("table2", 101 + 2 * trial)];
+        let barrier = Arc::new(Barrier::new(runs.len()));
+        let responses: Vec<(&str, u16, String)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = runs
+                .iter()
+                .map(|&(id, seed)| {
+                    let daemon = Arc::clone(&daemon);
+                    let barrier = Arc::clone(&barrier);
+                    scope.spawn(move || {
+                        let body = format!("{{\"quick\":true,\"seed\":{seed}}}");
+                        barrier.wait();
+                        let (status, body) = daemon.post(&format!("/run/{id}"), &body);
+                        (id, status, body)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("poster"))
+                .collect()
+        });
+        for (id, status, body) in &responses {
+            assert_eq!(*status, 200, "trial {trial}, {id}: {body}");
+            let parsed: Value = serde_json::from_str(body).expect("run response is JSON");
+            let engine = parsed.field("engine").expect("engine deltas present");
+            assert_eq!(
+                num_field(engine, "simulated_jobs_delta"),
+                43,
+                "trial {trial}: {id} --quick simulates its own 43 jobs: {engine:?}"
+            );
+            assert_eq!(num_field(engine, "memo_hits_delta"), 0, "{engine:?}");
+        }
+    }
+
+    let daemon = Arc::into_inner(daemon).expect("all posters joined");
+    let code = daemon.sigterm_and_wait(Duration::from_secs(30));
+    assert_eq!(code, 0);
+}
+
 /// Connection-level saturation is still answered inline with `503` and a
 /// `Retry-After` hint while the scheduler keeps its in-flight work.
 #[test]

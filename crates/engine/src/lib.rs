@@ -59,8 +59,8 @@
 //! `engine.disk_hits`, `engine.simulated_instructions`,
 //! `engine.simulation_wall_nanos`, `engine.elapsed_nanos`) and histograms
 //! (`engine.queue_wait_ns`, `engine.job_wall_ns`) accumulate alongside.
-//! [`EngineStats`] is *derived* from this recorder — see
-//! [`EngineStats::from_snapshot`] — so the trace and the stats can never
+//! [`EngineStats`] is *derived* from this recorder's counters — see
+//! [`EngineStats::from_snapshot`] — so the metrics and the stats can never
 //! disagree. Pass a shared recorder with [`Engine::with_recorder`] (the
 //! `repro` binary shares the globally installed one, merging engine spans
 //! with simulator and analysis-pipeline spans into one trace).
@@ -79,7 +79,7 @@ mod stats;
 pub use cache::{DiskCache, GcReport};
 pub use cost::estimated_cost;
 pub use fingerprint::{Fingerprint, SCHEMA_VERSION};
-pub use stats::{EngineStats, JobTiming};
+pub use stats::EngineStats;
 
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
 use horizon_telemetry::Recorder;
@@ -338,34 +338,30 @@ impl Engine {
         // so ordering never matters for the output. Batches are sorted
         // largest-estimated-cost-first (LPT) so the longest batch starts
         // earliest and cannot become a lone tail; ties break by first job
-        // id to keep the order deterministic. Batch composition depends
-        // only on the miss set, never on the worker count, so traces stay
-        // structurally identical across `--jobs` settings.
-        let profile_cost: Vec<u64> = profiles
-            .iter()
-            .map(|p| estimated_cost(campaign, p))
-            .collect();
+        // id to keep the order deterministic. Each batch is priced once,
+        // when it is formed, from its first job's profile (its jobs share
+        // one profile digest), so a call prices only what it simulates.
+        // Batch composition depends only on the miss set, never on the
+        // worker count, so traces stay structurally identical across
+        // `--jobs` settings.
         let mut batch_index: HashMap<&Fingerprint, usize> = HashMap::new();
-        // Per batch: (workload index of the first job, member job ids).
-        let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
+        // Per batch: (estimated cost, workload index of the first job,
+        // member job ids).
+        let mut batches: Vec<(u64, usize, Vec<usize>)> = Vec::new();
         for id in (0..jobs.len()).filter(|&id| resolved[id].is_none()) {
             let w = jobs[id].0;
             match batch_index.entry(&profile_digests[w]) {
                 std::collections::hash_map::Entry::Occupied(e) => {
-                    batches[*e.get()].1.push(id);
+                    batches[*e.get()].2.push(id);
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(batches.len());
-                    batches.push((w, vec![id]));
+                    batches.push((estimated_cost(campaign, &profiles[w]), w, vec![id]));
                 }
             }
         }
-        batches.sort_by(|a, b| {
-            profile_cost[b.0]
-                .cmp(&profile_cost[a.0])
-                .then(a.1[0].cmp(&b.1[0]))
-        });
-        let simulated = batches.iter().map(|(_, ids)| ids.len()).sum::<usize>();
+        batches.sort_by(|a, b| b.0.cmp(&a.0).then(a.2[0].cmp(&b.2[0])));
+        let simulated = batches.iter().map(|(_, _, ids)| ids.len()).sum::<usize>();
         let workers = if batches.is_empty() {
             0
         } else {
@@ -389,7 +385,7 @@ impl Engine {
                         break;
                     }
                     let queue_wait = pool_start.elapsed().as_nanos() as u64;
-                    let (w, ids) = &batches[b];
+                    let (cost, w, ids) = &batches[b];
                     let batch_machines: Vec<MachineConfig> =
                         ids.iter().map(|&id| machines[jobs[id].1].clone()).collect();
                     let job_start = Instant::now();
@@ -409,7 +405,7 @@ impl Engine {
                         job_span.record("machine", machines[jm].name.as_str());
                         job_span.record("outcome", "simulated");
                         job_span.record("instructions", campaign.instructions + campaign.warmup);
-                        job_span.record("est_cost", profile_cost[jw]);
+                        job_span.record("est_cost", *cost);
                         job_span.record("fleet", ids.len());
                         job_span.record("wall_ns", wall_nanos);
                         drop(job_span);

@@ -1,27 +1,13 @@
 //! Run statistics for the execution engine.
 //!
-//! Since the telemetry refactor the engine no longer maintains a separate
-//! statistics ledger: every number here is *derived* from the engine's
-//! [`horizon_telemetry::Recorder`] via [`EngineStats::from_snapshot`], so
-//! the recorder is the single source of truth and the stats can never
-//! drift from the trace.
+//! The engine keeps no separate statistics ledger: every number here is
+//! *derived* from the engine's [`horizon_telemetry::Recorder`] counters
+//! via [`EngineStats::from_snapshot`], so the recorder is the single
+//! source of truth and the stats can never drift from the metrics.
 
 use horizon_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Wall time of one simulated job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobTiming {
-    /// Workload name.
-    pub workload: String,
-    /// Machine name.
-    pub machine: String,
-    /// Wall-clock nanoseconds spent simulating the job.
-    pub wall_nanos: u64,
-    /// Instructions simulated (measurement window plus warmup).
-    pub instructions: u64,
-}
 
 /// Cumulative statistics across every campaign an engine has executed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -57,30 +43,12 @@ pub struct EngineStats {
     pub simulation_wall_nanos: u64,
     /// Wall time spent inside engine campaign calls, in nanoseconds.
     pub elapsed_nanos: u64,
-    /// Per-job wall-time records, in completion order. Reconstructed from
-    /// retained `engine.job` spans, so extremely long runs that overflow
-    /// the recorder's span cap may truncate this list (the aggregate
-    /// counters above stay exact).
-    pub job_timings: Vec<JobTiming>,
 }
 
 impl EngineStats {
-    /// Derives cumulative stats from a telemetry snapshot: counters map
-    /// one-to-one onto the aggregate fields, and each retained
-    /// `engine.job` span with `outcome == "simulated"` contributes a
-    /// [`JobTiming`].
+    /// Derives cumulative stats from a telemetry snapshot's counters,
+    /// which map one-to-one onto the fields.
     pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Self {
-        let job_timings = snapshot
-            .spans
-            .iter()
-            .filter(|s| s.name == "engine.job" && s.field_str("outcome") == Some("simulated"))
-            .map(|s| JobTiming {
-                workload: s.field_str("workload").unwrap_or_default().to_string(),
-                machine: s.field_str("machine").unwrap_or_default().to_string(),
-                wall_nanos: s.field_u64("wall_ns").unwrap_or(s.duration_nanos),
-                instructions: s.field_u64("instructions").unwrap_or(0),
-            })
-            .collect();
         EngineStats {
             campaigns: snapshot.counter("engine.campaigns"),
             cells: snapshot.counter("engine.cells"),
@@ -94,7 +62,6 @@ impl EngineStats {
             fleet_laned_machines: snapshot.counter("fleet.laned_machines"),
             simulation_wall_nanos: snapshot.counter("engine.simulation_wall_nanos"),
             elapsed_nanos: snapshot.counter("engine.elapsed_nanos"),
-            job_timings,
         }
     }
 
@@ -175,7 +142,6 @@ impl EngineStats {
 mod tests {
     use super::*;
     use horizon_telemetry::Recorder;
-    use std::sync::Arc;
 
     #[test]
     fn rates_on_empty_stats_are_zero() {
@@ -209,7 +175,6 @@ mod tests {
             fleet_laned_machines: 7,
             simulation_wall_nanos: 500_000_000,
             elapsed_nanos: 250_000_000,
-            job_timings: vec![],
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.cache_hits(), 6);
@@ -220,8 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshot_maps_counters_and_job_spans() {
-        let r = Arc::new(Recorder::new());
+    fn from_snapshot_maps_counters() {
+        let r = Recorder::new();
         r.counter_add("engine.campaigns", 1);
         r.counter_add("engine.cells", 4);
         r.counter_add("engine.unique_jobs", 3);
@@ -229,28 +194,14 @@ mod tests {
         r.counter_add("engine.memo_hits", 2);
         r.counter_add("engine.simulated_instructions", 25_000);
         r.counter_add("engine.simulation_wall_nanos", 9_000);
-        {
-            let mut cached = r.span("engine.job");
-            cached.record("workload", "mcf");
-            cached.record("machine", "skylake");
-            cached.record("outcome", "memo");
-        }
-        {
-            let mut sim = r.span("engine.job");
-            sim.record("workload", "gcc");
-            sim.record("machine", "sparc");
-            sim.record("outcome", "simulated");
-            sim.record("instructions", 25_000u64);
-            sim.record("wall_ns", 9_000u64);
-        }
         let s = EngineStats::from_snapshot(&r.snapshot());
         assert_eq!(s.campaigns, 1);
+        assert_eq!(s.cells, 4);
+        assert_eq!(s.unique_jobs, 3);
+        assert_eq!(s.simulated_jobs, 1);
         assert_eq!(s.memo_hits, 2);
-        assert_eq!(s.job_timings.len(), 1, "cached jobs carry no timing");
-        assert_eq!(s.job_timings[0].workload, "gcc");
-        assert_eq!(s.job_timings[0].machine, "sparc");
-        assert_eq!(s.job_timings[0].wall_nanos, 9_000);
-        assert_eq!(s.job_timings[0].instructions, 25_000);
+        assert_eq!(s.simulated_instructions, 25_000);
+        assert_eq!(s.simulation_wall_nanos, 9_000);
     }
 
     #[test]
@@ -268,12 +219,6 @@ mod tests {
             fleet_laned_machines: 4,
             simulation_wall_nanos: 42,
             elapsed_nanos: 43,
-            job_timings: vec![JobTiming {
-                workload: "w".into(),
-                machine: "m".into(),
-                wall_nanos: 42,
-                instructions: 100,
-            }],
         };
         let text = serde_json::to_string_pretty(&s).unwrap();
         let back: EngineStats = serde_json::from_str(&text).unwrap();

@@ -1,6 +1,6 @@
 //! Live event bus: bounded, subscriber-based fan-out of telemetry events.
 //!
-//! The recorder's snapshot/JSONL/Prometheus sinks are *after the fact*;
+//! The recorder's snapshot/OTLP/Prometheus sinks are *after the fact*;
 //! the bus makes the same signals observable *while a run executes*. A
 //! [`crate::Recorder`] owns one [`EventBus`] and publishes schema-versioned
 //! [`TelemetryEvent`]s for span start/end, counter deltas, phase

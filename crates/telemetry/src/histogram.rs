@@ -11,7 +11,7 @@ const BUCKETS: usize = (LAST_SHIFT - FIRST_SHIFT + 1) as usize;
 /// A fixed-layout histogram: finite buckets with upper bounds
 /// `2^10, 2^11, …, 2^36`, plus an overflow bucket. The layout is identical
 /// for every histogram, so dumps from different runs line up when diffed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket (non-cumulative) counts; `counts[i]` covers
     /// `(2^(10+i-1), 2^(10+i)]` (the first bucket covers `[0, 2^10]`).
@@ -19,21 +19,7 @@ pub struct Histogram {
     overflow: u64,
     count: u64,
     sum: u64,
-    min: u64,
     max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: [0; BUCKETS],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
 }
 
 impl Histogram {
@@ -46,7 +32,6 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
         match Self::bucket_index(value) {
             Some(i) => self.counts[i] += 1,
@@ -75,15 +60,6 @@ impl Histogram {
     /// Sum of all samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
     }
 
     /// Largest sample, or 0 when empty.
@@ -145,7 +121,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile_upper_bound(0.99), 0);
@@ -165,7 +140,6 @@ mod tests {
         assert_eq!(counts[2], (1 << 36, 1));
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), (1 << 36) + 1);
     }
 

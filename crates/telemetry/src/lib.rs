@@ -17,19 +17,20 @@
 //! * **Histograms** — power-of-two-bucketed distributions of `u64` samples
 //!   (per-job simulation time, queue wait, …). Every span's wall time is
 //!   additionally folded into a per-name histogram, so phase breakdowns
-//!   survive even if individual span records are capped.
+//!   stay exact whether or not span records are kept.
 //!
-//! Four sinks read a [`Recorder`]'s state after the fact:
+//! Three sinks read a [`Recorder`]'s state after the fact:
 //!
 //! 1. [`Recorder::snapshot`] — an in-memory [`TelemetrySnapshot`],
 //!    queryable in tests and used to render the `repro --stats` phase
 //!    table.
-//! 2. [`write_trace`] / [`write_trace_with_meta`] — a JSONL trace (one
-//!    event per line, deterministic field order) for `repro --trace-out`.
-//! 3. [`write_prometheus`] — a Prometheus-style text exposition dump for
-//!    `repro --metrics-out`, diffable and plottable.
-//! 4. [`write_otlp`] — an OTLP/JSON-shaped span export for
-//!    `repro --otlp-out`, loadable by Jaeger/Tempo-style tooling.
+//! 2. [`write_prometheus`] — a Prometheus-style text exposition of every
+//!    aggregate (counters, gauges, histograms, per-span-name wall time)
+//!    for `repro --metrics-out` and `repro serve`'s `/metrics`.
+//! 3. [`write_otlp`] — an OTLP/JSON-shaped export of the span records for
+//!    `repro --otlp-out`, loadable by Jaeger/Tempo-style tooling. It is
+//!    the only reader of span records and their fields; a recorder built
+//!    with [`Recorder::with_span_capacity`]`(0)` keeps none.
 //!
 //! And one reads it *live*: every recorder owns an [`EventBus`]
 //! ([`Recorder::bus`]) publishing schema-versioned [`TelemetryEvent`]s
@@ -74,7 +75,6 @@
 
 mod bus;
 mod histogram;
-mod jsonl;
 mod otlp;
 mod prometheus;
 mod recorder;
@@ -85,7 +85,6 @@ pub use bus::{
     DEFAULT_SUBSCRIBER_CAPACITY, EVENT_SCHEMA,
 };
 pub use histogram::Histogram;
-pub use jsonl::{write_trace, write_trace_with_meta, TRACE_SCHEMA};
 pub use otlp::write_otlp;
 pub use prometheus::write_prometheus;
 pub use recorder::{FieldValue, Recorder, Span, EVENTS_DROPPED_COUNTER};

@@ -1,12 +1,13 @@
 //! The thread-safe recorder and its span guards.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::bus::{current_run_id, EventBus, EventKind};
+use crate::bus::{current_run_id, EventBus, EventKind, RunScope};
 use crate::histogram::Histogram;
 use crate::snapshot::{SpanRecord, TelemetrySnapshot};
 
@@ -93,6 +94,9 @@ struct State {
     /// dimension (e.g. `serve.request_wall_ms{route="run"}`), enough for
     /// per-route latency without a full label-set model.
     labeled_histograms: BTreeMap<(&'static str, &'static str, &'static str), Histogram>,
+    /// Counter deltas per run id being tallied by [`Recorder::tally_run`];
+    /// empty unless a run is being tallied.
+    runs: HashMap<u64, BTreeMap<&'static str, u64>>,
 }
 
 /// Collects spans, counters and histograms from any number of threads.
@@ -163,19 +167,15 @@ impl Recorder {
     }
 
     /// Overrides the retained-span cap (counters/histograms are unaffected).
-    /// A cap of 0 turns span records off: nothing is retained and nothing
-    /// counts as dropped, while per-span-name wall histograms stay exact.
-    /// Long-lived processes that never export a trace use it, so their
-    /// memory does not grow with every request.
+    /// A cap of 0 turns span records off: nothing is retained,
+    /// [`Span::record`] stores no fields, and nothing counts as dropped,
+    /// while per-span-name wall histograms and the live bus stay exact.
+    /// `repro` uses it unless `--otlp-out` will export the records, so
+    /// neither a batch run nor a daemon keeps records nobody reads.
     #[must_use]
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
         self.span_capacity = capacity;
         self
-    }
-
-    /// True unless constructed with [`Recorder::disabled`].
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Opens a span. The guard records the span when dropped; its parent is
@@ -267,6 +267,11 @@ impl Recorder {
         let slot = state.counters.entry(name).or_insert(0);
         *slot += delta;
         let total = *slot;
+        if !state.runs.is_empty() {
+            if let Some(tally) = state.runs.get_mut(&current_run_id()) {
+                *tally.entry(name).or_insert(0) += delta;
+            }
+        }
         drop(state);
         if self.bus.has_subscribers() {
             self.bus.publish(
@@ -337,6 +342,38 @@ impl Recorder {
             .entry((family, label_key, label_value))
             .or_default()
             .record(value);
+    }
+
+    /// Runs `work` inside a [`RunScope`] of `run` and returns its value
+    /// together with the counter deltas added meanwhile by threads in a
+    /// scope of `run` (this one, and workers that re-enter it): the run's
+    /// own share of counters that runs executing side by side all add to.
+    /// Counters keep their process-wide totals as well.
+    pub fn tally_run<R>(
+        &self,
+        run: u64,
+        work: impl FnOnce() -> R,
+    ) -> (R, BTreeMap<&'static str, u64>) {
+        self.state
+            .lock()
+            .expect("telemetry state")
+            .runs
+            .insert(run, BTreeMap::new());
+        let value = {
+            let _scope = RunScope::enter(run);
+            catch_unwind(AssertUnwindSafe(work))
+        };
+        let tally = self
+            .state
+            .lock()
+            .expect("telemetry state")
+            .runs
+            .remove(&run)
+            .unwrap_or_default();
+        match value {
+            Ok(value) => (value, tally),
+            Err(panic) => resume_unwind(panic),
+        }
     }
 
     /// Current value of one named counter (0 when never touched) without
@@ -414,16 +451,6 @@ impl Recorder {
             }
         });
         let duration_nanos = span.start.elapsed().as_nanos() as u64;
-        let record = SpanRecord {
-            id: span.id,
-            parent: span.parent,
-            name: span.name,
-            thread: current_thread_id(),
-            run: span.run,
-            start_nanos: span.start_nanos,
-            duration_nanos,
-            fields: std::mem::take(&mut span.fields),
-        };
         {
             let mut state = self.state.lock().expect("telemetry state");
             state
@@ -432,7 +459,16 @@ impl Recorder {
                 .or_default()
                 .record(duration_nanos);
             if state.spans.len() < self.span_capacity {
-                state.spans.push(record);
+                state.spans.push(SpanRecord {
+                    id: span.id,
+                    parent: span.parent,
+                    name: span.name,
+                    thread: current_thread_id(),
+                    run: span.run,
+                    start_nanos: span.start_nanos,
+                    duration_nanos,
+                    fields: std::mem::take(&mut span.fields),
+                });
             } else if self.span_capacity > 0 {
                 state.dropped_spans += 1;
             }
@@ -496,10 +532,14 @@ impl Span {
         self.inner.as_ref().map(|s| s.id)
     }
 
-    /// Attaches a structured field, recorded when the span closes.
+    /// Attaches a structured field, recorded when the span closes. Does
+    /// nothing (not even the conversion) when the recorder keeps no span
+    /// records: fields are read only from records.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(span) = self.inner.as_mut() {
-            span.fields.push((key, value.into()));
+            if span.recorder.span_capacity > 0 {
+                span.fields.push((key, value.into()));
+            }
         }
     }
 
@@ -611,6 +651,50 @@ mod tests {
         assert_eq!(snap.dropped_spans, 0);
         assert_eq!(snap.span_wall.get("phase").unwrap().count(), 5);
         assert!(r.prometheus_text().contains("horizon_dropped_spans 0\n"));
+    }
+
+    #[test]
+    fn zero_span_cap_stores_no_fields_and_still_counts_the_span() {
+        let r = Arc::new(Recorder::new().with_span_capacity(0));
+        {
+            let mut s = r.span("engine.job");
+            s.record("workload", "605.mcf_s");
+            s.record("wall_ns", 9_000u64);
+            assert!(s.inner.as_ref().unwrap().fields.is_empty());
+        }
+        let snap = r.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.span_wall.get("engine.job").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn tally_run_counts_only_its_own_runs_deltas() {
+        let r = Arc::new(Recorder::new());
+        r.counter_add("jobs", 100);
+        let ((), tally) = r.tally_run(7, || {
+            assert_eq!(current_run_id(), 7);
+            r.counter_add("jobs", 3);
+            let worker = Arc::clone(&r);
+            std::thread::spawn(move || {
+                let _own = RunScope::enter(7);
+                worker.counter_add("jobs", 2);
+                let _other = RunScope::enter(8);
+                worker.counter_add("jobs", 40);
+            })
+            .join()
+            .unwrap();
+        });
+        assert_eq!(tally.get("jobs"), Some(&5));
+        assert_eq!(r.counter_value("jobs"), 145, "totals stay process-wide");
+
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            r.tally_run(9, || panic!("injected"));
+        }));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        assert!(
+            r.state.lock().unwrap().runs.is_empty(),
+            "no registration outlives its run"
+        );
     }
 
     #[test]

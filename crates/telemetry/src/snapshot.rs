@@ -1,7 +1,7 @@
 //! In-memory snapshot of a recorder's state — the sink tests and the
 //! `repro --stats` phase table query.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::histogram::Histogram;
 use crate::recorder::FieldValue;
@@ -119,12 +119,6 @@ impl TelemetrySnapshot {
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
-    /// The set of distinct span names (from the wall-time aggregates, so
-    /// complete even past the span cap).
-    pub fn span_names(&self) -> BTreeSet<&'static str> {
-        self.span_wall.keys().copied().collect()
-    }
-
     /// Per-phase wall-clock aggregates, largest total first.
     pub fn phase_breakdown(&self) -> Vec<PhaseStat> {
         let mut phases: Vec<PhaseStat> = self
@@ -212,10 +206,6 @@ mod tests {
         let alpha = phases.iter().find(|p| p.name == "alpha").unwrap();
         assert_eq!(alpha.count, 3);
         assert!(phases[0].total_nanos >= phases[1].total_nanos);
-        assert_eq!(
-            snap.span_names().into_iter().collect::<Vec<_>>(),
-            vec!["alpha", "beta"]
-        );
     }
 
     #[test]

@@ -523,11 +523,11 @@ impl FleetState {
         match inst.kind {
             Kind::Load { addr, .. } | Kind::Store { addr, .. } => {
                 self.batch.data.push((pos, addr));
-                let page = addr >> self.dtlb_min_shift;
-                if page == self.last_data_page {
+                let data_page = addr >> self.dtlb_min_shift;
+                if data_page == self.last_data_page {
                     self.dtlb_repeats += 1;
                 } else {
-                    self.last_data_page = page;
+                    self.last_data_page = data_page;
                     self.batch.dtlb.push((pos, addr));
                 }
             }

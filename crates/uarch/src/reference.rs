@@ -540,6 +540,33 @@ mod tests {
         assert_fleet_matches(&[one_set_machine()], 0, &small_footprint(512), 40_000, 5);
     }
 
+    /// Fixed gate for the cache back lane's order within one data event:
+    /// the L2 prefetcher's install of the next line reaches the L2 before
+    /// the demand refill of the line that missed. Only a one-set L2 puts
+    /// the two lines in one set, where that order decides which of them is
+    /// evicted first; a 1 KiB stream keeps the prefetcher installing.
+    #[test]
+    fn prefetch_install_reaches_the_shared_l2_before_its_demand() {
+        let mut machine = one_set_machine();
+        machine.hierarchy.prefetch = PrefetchConfig::l2_only();
+        let profile = WorkloadProfile::builder("one-set-stream")
+            .loads(0.3)
+            .stores(0.1)
+            .branches(0.15)
+            .code_model(CodeModel {
+                footprint_bytes: 512,
+                hot_fraction: 1.0,
+                hot_bytes: 512,
+            })
+            .regions(vec![
+                Region::streaming(1 << 10, 0.5, 64),
+                Region::random(512, 0.5),
+            ])
+            .build()
+            .expect("valid profile");
+        assert_fleet_matches(&[machine], 0, &profile, 40_000, 5);
+    }
+
     /// Fixed gate for the TLB back lane's merge: when one instruction
     /// misses both L1 TLBs, its instruction-side refill reaches the L2 TLB
     /// before its data-side one. Four code and four data pages share one

@@ -8,9 +8,11 @@
 #
 # Each entry is NAME@@FILE@@PATTERN@@REPLACEMENT. PATTERN must occur
 # exactly once in FILE (relative to the workspace root) and is replaced
-# literally. The unmutated copy must pass the same tests first. Exits 0
-# only when the baseline passes and every mutation is killed; prints the
-# failing tests of each mutation.
+# literally. Each run of whitespace in PATTERN matches any run of
+# whitespace in FILE, so a one-line PATTERN can name a block that rustfmt
+# spreads over several lines. The unmutated copy must pass the same tests
+# first. Exits 0 only when the baseline passes and every mutation is
+# killed; prints the failing tests of each mutation.
 set -euo pipefail
 
 MUTATIONS=(
@@ -22,6 +24,21 @@ MUTATIONS=(
   "tlb-merge-order@@crates/uarch/src/fleet.rs@@if ipos <= dpos {@@if ipos < dpos {"
   # FleetState::prewarm walks every code span, kernel code included.
   "prewarm-kernel-code@@crates/uarch/src/fleet.rs@@for span in code {@@for span in code.into_iter().take(1) {"
+  # FleetState::prewarm walks every data span and the hot-code span.
+  "prewarm-first-data-span@@crates/uarch/src/fleet.rs@@for span in data {@@for span in data.into_iter().skip(1) {"
+  "prewarm-hot-code-span@@crates/uarch/src/fleet.rs@@for span in code {@@for span in code.into_iter().skip(1) {"
+  # Repeat granules (FleetState::step, prewarm_fetch, prewarm_data): a
+  # probe is skipped only on the smallest line or page among the fleet's
+  # structures of its kind, never on a wider one.
+  "step-fetch-line@@crates/uarch/src/fleet.rs@@pc >> self.l1i_min_shift@@pc >> (self.l1i_min_shift + 1)"
+  "step-fetch-page@@crates/uarch/src/fleet.rs@@pc >> self.itlb_min_shift@@pc >> (self.itlb_min_shift + 1)"
+  "step-data-page@@crates/uarch/src/fleet.rs@@let data_page = addr >> self.dtlb_min_shift;@@let data_page = addr >> (self.dtlb_min_shift + 1);"
+  "prewarm-fetch-line@@crates/uarch/src/fleet.rs@@addr >> self.l1i_min_shift@@addr >> (self.l1i_min_shift + 1)"
+  "prewarm-fetch-page@@crates/uarch/src/fleet.rs@@addr >> self.itlb_min_shift@@addr >> (self.itlb_min_shift + 1)"
+  "prewarm-data-page@@crates/uarch/src/fleet.rs@@let page = addr >> self.dtlb_min_shift;@@let page = addr >> (self.dtlb_min_shift + 1);"
+  # FleetState::run_batch, cache back lanes: a data event's prefetch
+  # install reaches the shared L2 before its demand refill.
+  "cache-install-order@@crates/uarch/src/fleet.rs@@if flags & INSTALL != 0 { lane.back.install_shared(line); } if flags & DATA_MISS != 0 { lane.back.demand_data(addr); }@@if flags & DATA_MISS != 0 { lane.back.demand_data(addr); } if flags & INSTALL != 0 { lane.back.install_shared(line); }"
 )
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -60,16 +77,18 @@ copy_workspace() {
 # Replaces PATTERN in FILE, failing unless it occurs exactly once.
 mutate() {
   python3 - "$WORK/ws/$file" "$pattern" "$replacement" <<'EOF'
+import re
 import sys
 
 path, pattern, replacement = sys.argv[1:]
 with open(path) as f:
     text = f.read()
-count = text.count(pattern)
-if count != 1:
-    sys.exit(f"mutants: {pattern!r} occurs {count} times in {path}; expected exactly once")
+matches = list(re.finditer(r"\s+".join(map(re.escape, pattern.split())), text))
+if len(matches) != 1:
+    sys.exit(f"mutants: {pattern!r} occurs {len(matches)} times in {path}; expected exactly once")
+start, end = matches[0].span()
 with open(path, "w") as f:
-    f.write(text.replace(pattern, replacement))
+    f.write(text[:start] + replacement + text[end:])
 EOF
 }
 
