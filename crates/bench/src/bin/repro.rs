@@ -21,10 +21,10 @@
 //!                       (span records are kept only when it is given)
 //!   --max-entries <N>   cache-gc: measurement entries to keep (default 1024)
 //!   --addr <HOST:PORT>  serve: bind address (default 127.0.0.1:7878)
-//!   --workers <N>       serve: request worker threads
+//!   --workers <N>       serve: worker threads; each serves connections
+//!                       and executes the runs they ask for
 //!   --queue-cap <N>     serve: queued connections beyond busy workers
 //!                       (past the cap requests get 503 + Retry-After)
-//!   --request-timeout-ms <N>  serve: default per-run deadline
 //!   --role <ROLE>       serve: cluster role, router or worker (a
 //!                       worker is a plain daemon)
 //!   --peers <LIST>      serve (router): comma-separated HOST:PORT
@@ -62,7 +62,6 @@ struct Options {
     addr: Option<String>,
     workers: Option<usize>,
     queue_cap: Option<usize>,
-    request_timeout_ms: Option<u64>,
     role: Option<String>,
     peers: Option<String>,
     rate_limit: Option<u64>,
@@ -115,7 +114,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
         addr: None,
         workers: None,
         queue_cap: None,
-        request_timeout_ms: None,
         role: None,
         peers: None,
         rate_limit: None,
@@ -175,15 +173,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                     .ok_or(ParseError::BadValue("--queue-cap", v))?;
                 opts.queue_cap = Some(n);
             }
-            "--request-timeout-ms" => {
-                let v = value("--request-timeout-ms")?;
-                let n = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(ParseError::BadValue("--request-timeout-ms", v))?;
-                opts.request_timeout_ms = Some(n);
-            }
             "--role" => {
                 let v = value("--role")?;
                 if v != "router" && v != "worker" {
@@ -229,9 +218,8 @@ fn usage() {
         "usage: repro <experiment|all|list> [--quick] [--jobs N] [--cache-dir DIR] [--stats] \
          [--progress] [--metrics-out FILE] [--otlp-out FILE]\n\
          \x20      repro cache-gc --cache-dir DIR [--max-entries N]\n\
-         \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--request-timeout-ms N] [--jobs N] [--cache-dir DIR] [--role router|worker] \
-         [--peers HOST:PORT,...] [--rate-limit N]"
+         \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--jobs N] \
+         [--cache-dir DIR] [--role router|worker] [--peers HOST:PORT,...] [--rate-limit N]"
     );
     eprintln!("subcommands: {SUBCOMMANDS}");
     let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
@@ -278,9 +266,6 @@ fn run_router(opts: &Options, recorder: std::sync::Arc<Recorder>) -> u8 {
     }
     if let Some(cap) = opts.queue_cap {
         router_opts.queue_cap = cap;
-    }
-    if let Some(ms) = opts.request_timeout_ms {
-        router_opts.proxy_timeout = Duration::from_millis(ms);
     }
     router_opts.rate_limit = opts.rate_limit;
     router_opts.peers = split_peers(opts.peers.as_deref().unwrap_or(""));
@@ -333,9 +318,6 @@ fn run_serve(
     }
     if let Some(cap) = opts.queue_cap {
         serve_opts.queue_cap = cap;
-    }
-    if let Some(ms) = opts.request_timeout_ms {
-        serve_opts.request_timeout = Duration::from_millis(ms);
     }
     let addr = serve_opts.addr.clone();
     let server = match Server::bind(serve_opts, engine, recorder) {
@@ -539,7 +521,6 @@ fn main() -> ExitCode {
             ("--addr", opts.addr.is_some()),
             ("--workers", opts.workers.is_some()),
             ("--queue-cap", opts.queue_cap.is_some()),
-            ("--request-timeout-ms", opts.request_timeout_ms.is_some()),
             ("--role", opts.role.is_some()),
             ("--peers", opts.peers.is_some()),
             ("--rate-limit", opts.rate_limit.is_some()),

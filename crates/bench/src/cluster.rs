@@ -394,8 +394,9 @@ pub struct RouterOptions {
     pub rate_limit: Option<u64>,
     /// Socket timeout for client-side parsing and response writes.
     pub io_timeout: Duration,
-    /// Ceiling on one buffered run relay (the worker enforces its own
-    /// per-run deadline underneath).
+    /// Ceiling on one buffered run relay or SSE tunnel; past it the
+    /// router gives up on the peer (the run itself finishes on the
+    /// worker).
     pub proxy_timeout: Duration,
     /// Timeout for one health poll, metric scrape or upstream connect.
     pub peer_timeout: Duration,

@@ -319,7 +319,6 @@ pub fn status_text(status: u16) -> &'static str {
         501 => "Not Implemented",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
-        504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
     }

@@ -898,9 +898,8 @@ pub struct Experiment {
     /// One-line description for `repro list`.
     pub summary: &'static str,
     /// Approximate cost: the number of (benchmark × machine) grid cells a
-    /// cold run expands. The serve scheduler orders distinct queued runs
-    /// largest-first on this, so the expensive campaigns claim workers
-    /// before a burst of cheap ones fragments the pool.
+    /// cold run expands. `repro serve` prices its ETA hints with it, and
+    /// the cluster router charges it against a client's rate limit.
     pub weight: u64,
     /// The driver producing the report.
     pub run: fn(&ReproConfig) -> Result<Report, CoreError>,

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness + warm-cache size |
 //! | `GET /experiments` | the experiment registry as JSON |
-//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for quick/window/seed/deadline options |
+//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for quick/window/seed options |
 //! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
 //! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
@@ -50,16 +50,16 @@
 //! recorder publishes, for dashboards; `?limit=N` closes after N events.
 //! Stream connections always close when done (`Connection: close`).
 //!
-//! # Run scheduling
+//! # Runs
 //!
-//! Connection workers never execute experiments; they submit to the
-//! crate-private `sched` run scheduler and wait under the request's
-//! deadline.
-//! Identical in-flight requests (same experiment + campaign options)
-//! coalesce onto a single execution whose result answers every waiter —
-//! counted by `serve.coalesced_runs` — while distinct runs queue to a
-//! dedicated run-worker pool in largest-estimated-cost-first order
-//! (`serve.active_runs` gauges the executing ones).
+//! A run executes on the thread that received it: a framed `POST /run`
+//! on its connection worker, a streamed one on a scoped thread while the
+//! connection thread forwards its events. Identical in-flight requests
+//! (same experiment + campaign options) coalesce onto a single execution
+//! whose result answers every waiter, through the crate-private `sched`
+//! table of in-flight runs (counted by `serve.coalesced_runs`;
+//! `serve.active_runs` gauges the executing runs). So one pool of
+//! `workers` threads serves connections and executes their runs.
 //!
 //! # Robustness
 //!
@@ -72,40 +72,40 @@
 //!   accept loop answers `503` with `Retry-After` *inline*, so saturation
 //!   never kills in-flight work and never blocks the accept thread on a
 //!   slow handler.
-//! * **Deadlines** — socket reads/writes carry an I/O timeout; each
-//!   request waits for its run under a per-request deadline
-//!   (`deadline_ms` in the body, else the server default). A waiter that
-//!   overshoots answers `504` and detaches cleanly: the run finishes on
-//!   the scheduler, co-waiters on the same run still get their results,
-//!   and the shared engine cache stays warm so a retry is cheap.
+//! * **I/O timeouts** — socket reads/writes carry an I/O timeout. A run
+//!   has no deadline: a client that stops waiting (a read timeout of its
+//!   own, or a hang-up) loses only its answer; the run finishes, other
+//!   waiters on it still get their results, and the shared engine cache
+//!   stays warm so a retry is cheap.
 //! * **Hardened parsing** — see [`crate::http`]: malformed requests map to
 //!   4xx responses, never a panic; a panicking handler poisons nothing
 //!   because workers catch unwinds and answer `500` (a panicking *run* is
-//!   caught on the run worker and answered as a clean `500` to every
+//!   caught where it executes and answered as a clean `500` to every
 //!   waiter).
 //! * **Graceful shutdown** — `SIGTERM`/`SIGINT` (or
 //!   [`Server::shutdown_handle`]) stop the accept loop, drain queued and
-//!   in-flight requests (connection pool first, so waiters can still be
-//!   answered by live run workers), then drain the run scheduler up to
-//!   the drain deadline, and return so the caller can flush telemetry
-//!   sinks and exit 0.
+//!   in-flight requests (every run executes on a connection worker or on
+//!   a thread one joins, so this drain covers every run), and return so
+//!   the caller can flush telemetry sinks and exit 0.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use horizon_core::report::Report;
 use horizon_core::report_v1::ReportV1;
 use horizon_engine::Engine;
-use horizon_telemetry::{EventKind, Recorder, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY};
+use horizon_telemetry::{
+    EventKind, Recorder, Subscription, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY,
+};
 
 use serde::{Serialize, Value};
 
 use crate::http::{read_request, ChunkedWriter, HttpError, Limits, Request, Response};
-use crate::sched::{RunKey, RunOutput, RunScheduler};
+use crate::sched::{InFlightRuns, RunKey, RunOutput, RunSlot};
 use crate::{find_experiment, Experiment, ReproConfig, REGISTRY};
 
 /// Tuning knobs for [`Server::bind`].
@@ -113,14 +113,12 @@ use crate::{find_experiment, Experiment, ReproConfig, REGISTRY};
 pub struct ServeOptions {
     /// `HOST:PORT` to bind (port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Worker threads handling connections; each executes the runs its
+    /// requests ask for.
     pub workers: usize,
     /// Maximum connections queued beyond the busy workers; excess gets an
     /// inline `503` + `Retry-After`.
     pub queue_cap: usize,
-    /// Default per-run deadline (a request body's `deadline_ms` overrides
-    /// it); overshooting runs answer `504` and detach.
-    pub request_timeout: Duration,
     /// Socket read/write timeout for request parsing and response writes.
     pub io_timeout: Duration,
     /// How long a kept-alive connection may sit idle between requests
@@ -130,8 +128,6 @@ pub struct ServeOptions {
     /// (the last response says `Connection: close`); bounds how long a
     /// single client can monopolize a worker.
     pub max_requests_per_connection: usize,
-    /// How long shutdown waits for detached (timed-out) runs to finish.
-    pub drain_timeout: Duration,
     /// Request parsing limits.
     pub limits: Limits,
 }
@@ -145,11 +141,9 @@ impl Default for ServeOptions {
                 .unwrap_or(2)
                 .clamp(2, 8),
             queue_cap: 64,
-            request_timeout: Duration::from_secs(600),
             io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(5),
             max_requests_per_connection: 100,
-            drain_timeout: Duration::from_secs(30),
             limits: Limits::default(),
         }
     }
@@ -368,55 +362,20 @@ impl<T: Send + 'static> Pool<T> {
     }
 }
 
-/// State shared between the accept loop, connection workers and the run
-/// scheduler.
+/// State shared between the accept loop and the connection workers.
 struct ServerState {
     engine: Arc<Engine>,
     recorder: Arc<Recorder>,
     opts: ServeOptions,
     started: Instant,
-    /// Executes and coalesces `POST /run` requests; shutdown drains it
-    /// after the connection pool.
-    sched: RunScheduler,
+    /// The runs executing now, which identical `POST /run` requests share.
+    runs: InFlightRuns,
     /// Connections accepted but not yet claimed by a worker — gauged in
     /// `/healthz` and `/metrics` so saturation is visible before 503s.
     queue_depth: AtomicUsize,
     /// Mirror of [`Server::shutdown_handle`] (and the signal flag), so
     /// long-lived event streams notice shutdown and terminate cleanly.
     shutdown: Arc<AtomicBool>,
-    /// ETA cost model: observed execution nanoseconds per unit of
-    /// estimated run cost (`Experiment::weight` × campaign window),
-    /// fixed-point ×1000, EWMA-updated after each completed run. Zero
-    /// until the first run completes — no ETA hint before that.
-    nanos_per_cost_x1000: AtomicU64,
-}
-
-impl ServerState {
-    /// Folds a completed run into the ETA cost model.
-    fn observe_run_cost(&self, cost: u64, wall_ms: u128) {
-        if cost == 0 {
-            return;
-        }
-        let measured = (wall_ms as u64)
-            .saturating_mul(1_000_000)
-            .saturating_mul(1000)
-            / cost;
-        let old = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            measured
-        } else {
-            // Light EWMA: history dominates, one outlier can't swing it.
-            (old.saturating_mul(3).saturating_add(measured)) / 4
-        };
-        self.nanos_per_cost_x1000.store(next, Ordering::Relaxed);
-    }
-
-    /// ETA hint in milliseconds for a run of estimated `cost`, or `None`
-    /// before the model has seen any run.
-    fn eta_hint_ms(&self, cost: u64) -> Option<u64> {
-        let rate = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        (rate != 0).then(|| cost.saturating_mul(rate) / 1000 / 1_000_000)
-    }
 }
 
 /// The daemon: a bound listener plus its worker pool. Construct with
@@ -444,17 +403,15 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
-        let sched = RunScheduler::new(opts.workers, Arc::clone(&recorder));
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(ServerState {
             engine,
+            runs: InFlightRuns::new(Arc::clone(&recorder)),
             recorder,
             opts,
             started: Instant::now(),
-            sched,
             queue_depth: AtomicUsize::new(0),
             shutdown: Arc::clone(&shutdown),
-            nanos_per_cost_x1000: AtomicU64::new(0),
         });
         let handler_state = Arc::clone(&state);
         let pool = Pool::new(
@@ -488,8 +445,8 @@ impl Server {
 
     /// Installs `SIGTERM`/`SIGINT` handlers and serves until one fires (or
     /// the [`Server::shutdown_handle`] flag is set), then drains: queued
-    /// and in-flight requests complete, the run scheduler gets up to the
-    /// drain timeout, and the method returns `Ok(())` for a clean exit.
+    /// and in-flight requests complete, their runs with them, and the
+    /// method returns `Ok(())` for a clean exit.
     ///
     /// # Errors
     ///
@@ -500,10 +457,7 @@ impl Server {
             self.dispatch(stream)
         });
         drop(self.listener); // stop accepting before draining
-                             // Connection pool first: its workers may be waiting on run slots,
-                             // and the run workers (still alive here) are what answer them.
         self.pool.shutdown();
-        self.state.sched.shutdown(self.state.opts.drain_timeout);
         Ok(())
     }
 
@@ -771,7 +725,7 @@ fn healthz(state: &ServerState) -> Response {
         ("memo_entries".into(), json_num(state.engine.memo_entries())),
         ("workers".into(), json_num(state.opts.workers)),
         ("queue_cap".into(), json_num(state.opts.queue_cap)),
-        ("runs_pending".into(), json_num(state.sched.pending())),
+        ("runs_pending".into(), json_num(state.runs.executing())),
         (
             "queue_depth".into(),
             json_num(state.queue_depth.load(Ordering::SeqCst)),
@@ -785,13 +739,13 @@ fn healthz(state: &ServerState) -> Response {
 }
 
 /// `GET /peer/health`: the compact liveness view a cluster router polls —
-/// current load (queued + executing runs), accept-queue depth, and the
+/// current load (distinct runs executing), accept-queue depth, and the
 /// warm memo size, so routing and failover decisions can weigh how hot
 /// this node is for its keys.
 fn peer_health(state: &ServerState) -> Response {
     let body = Value::Map(vec![
         ("role".into(), json_str("worker")),
-        ("load".into(), json_num(state.sched.pending())),
+        ("load".into(), json_num(state.runs.executing())),
         (
             "queue_depth".into(),
             json_num(state.queue_depth.load(Ordering::SeqCst)),
@@ -872,7 +826,6 @@ pub(crate) struct RunOptions {
     pub(crate) instructions: Option<u64>,
     pub(crate) warmup: Option<u64>,
     pub(crate) seed: Option<u64>,
-    pub(crate) deadline: Option<Duration>,
 }
 
 fn parse_u64(value: &Value, key: &str) -> Result<u64, HttpError> {
@@ -889,7 +842,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
         instructions: None,
         warmup: None,
         seed: None,
-        deadline: None,
     };
     if request.body.is_empty() {
         return Ok(opts);
@@ -917,13 +869,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
             }
             "warmup" => opts.warmup = Some(parse_u64(value, "warmup")?),
             "seed" => opts.seed = Some(parse_u64(value, "seed")?),
-            "deadline_ms" => {
-                let ms = parse_u64(value, "deadline_ms")?;
-                if ms == 0 {
-                    return Err(HttpError::new(400, "option 'deadline_ms' must be positive"));
-                }
-                opts.deadline = Some(Duration::from_millis(ms));
-            }
             other => {
                 return Err(HttpError::new(400, format!("unknown option '{other}'")));
             }
@@ -940,16 +885,16 @@ enum RunFormat {
     Text,
 }
 
-/// Everything `POST /run` needs before touching the scheduler — shared
-/// by the framed handler, the SSE stream and the cluster router so all
-/// three validate (and fail) identically.
+/// Everything `POST /run` needs before claiming its run — shared by the
+/// framed handler, the SSE stream and the cluster router so all three
+/// validate (and fail) identically.
 pub(crate) struct PreparedRun {
     pub(crate) experiment: &'static Experiment,
     pub(crate) opts: RunOptions,
     pub(crate) cfg: ReproConfig,
     pub(crate) key: RunKey,
-    /// The scheduler's cost estimate (`weight` × campaign window), also
-    /// the unit of the ETA cost model.
+    /// The run's cost estimate (`weight` × campaign window), the unit of
+    /// the ETA model.
     pub(crate) cost: u64,
 }
 
@@ -1030,10 +975,10 @@ fn run_json_body(
     to_json(&body)
 }
 
-/// `POST /run/{experiment}`: schedule one registry experiment on the warm
-/// engine (coalescing with identical in-flight runs) and return either the
-/// structured `report_v1` JSON or, with `?format=text`, the batch-stdout
-/// report text.
+/// `POST /run/{experiment}`: run one registry experiment on the warm
+/// engine, on this thread unless an identical run is already executing
+/// (then wait for its output), and return either the structured
+/// `report_v1` JSON or, with `?format=text`, the batch-stdout report text.
 fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
     let format = match request.query_param("format") {
         None | Some("json") => RunFormat::Json,
@@ -1056,24 +1001,11 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
         key,
         cost,
     } = prepared;
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, cost);
-    let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
-
-    let rec = &state.recorder;
-    let Some(output) = slot.wait(deadline) else {
-        rec.counter_add("serve.deadline_exceeded", 1);
-        return Response::error(
-            504,
-            &format!(
-                "experiment '{}' exceeded its {} ms deadline (this waiter detached; the run \
-                 continues on the scheduler, co-waiters are unaffected, and the warm cache \
-                 makes a retry cheap)",
-                experiment.id,
-                deadline.as_millis()
-            ),
-        );
-    };
-    state.observe_run_cost(cost, output.wall_ms);
+    let (slot, coalesced) = state.runs.claim(&key);
+    if !coalesced {
+        state.runs.execute(&key, &slot, experiment, &cfg, cost);
+    }
+    let output = slot.wait();
     let report = match &output.report {
         Ok(report) => report,
         Err(message) => return Response::error(500, message),
@@ -1088,17 +1020,19 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
     }
 }
 
-/// How long a run stream blocks for the next bus event before polling
-/// the run slot and the clock again.
+/// How long a run stream blocks for the next bus event before looking at
+/// the run slot again.
 const STREAM_POLL: Duration = Duration::from_millis(50);
 
 /// `POST /run/{experiment}?stream=events`: the streaming run handler.
 ///
-/// Subscribes to the recorder's event bus *before* submitting to the
-/// scheduler (the run cannot start earlier, so no event is missed), then
-/// forwards this run's phase/progress/counter events as SSE frames while
-/// waiting on the slot. Ends with a `report` event carrying the same
-/// JSON body as the non-streaming response, or `error` / `timeout`.
+/// Opens the chunked response, claims the run and subscribes to its
+/// events, and only then starts a leader's run on a scoped thread, so no
+/// event of the run is missed. This thread forwards the run's
+/// phase/progress/counter events as SSE frames and ends with a `report`
+/// event carrying the same JSON body as the non-streaming response, or an
+/// `error` event. A client that goes away ends the forwarding, not the
+/// run: its subscription drops at once and the scope joins the run.
 fn run_stream(
     state: &Arc<ServerState>,
     name: &str,
@@ -1122,155 +1056,128 @@ fn run_stream(
              the structured JSON body)",
         ));
     }
-    let prepared = match prepare_run(name, request) {
+    let run = match prepare_run(name, request) {
         Ok(prepared) => prepared,
         Err(response) => return StreamOutcome::Plain(response),
     };
-    let PreparedRun {
-        experiment,
-        opts,
-        cfg,
-        key,
-        cost,
-    } = prepared;
-
-    // Subscribe before submit: publish-before-slot-publish ordering then
-    // guarantees every event of the run is in (or through) our ring by
-    // the time the slot reports completion.
-    let sub = state.recorder.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let (slot, coalesced) = state.sched.submit(experiment, key, cfg, cost);
-    let run_id = slot.run_id();
-    let deadline = opts.deadline.unwrap_or(state.opts.request_timeout);
     let rec = &state.recorder;
-
-    let mut writer = match ChunkedWriter::begin(out, 200, "text/event-stream", &[]) {
-        Ok(writer) => writer,
-        Err(_) => {
-            rec.counter_add("serve.write_failures", 1);
-            return StreamOutcome::Streamed(200);
-        }
-    };
-    let started = Instant::now();
-    let mut progress = StreamProgress::new(run_id, started);
-    let start_data = {
-        let mut map = vec![
-            ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
-            ("experiment".into(), json_str(experiment.id)),
-            ("run".into(), json_num(run_id)),
-            ("coalesced".into(), Value::Bool(coalesced)),
-            ("weight".into(), json_num(experiment.weight)),
-        ];
-        if let Some(eta) = state.eta_hint_ms(cost) {
-            map.push(("eta_hint_ms".into(), json_num(eta)));
-        }
-        to_json(&Value::Map(map))
-    };
-    if writer
-        .write_chunk(sse_frame("start", &start_data).as_bytes())
-        .is_err()
-    {
+    let Ok(writer) = ChunkedWriter::begin(out, 200, "text/event-stream", &[]) else {
         rec.counter_add("serve.write_failures", 1);
         return StreamOutcome::Streamed(200);
-    }
-
-    let end = started + deadline;
-    loop {
-        // Forward everything buffered, then check completion *after* the
-        // drain so run events always precede the terminal event.
-        while let Some(event) = sub.try_recv() {
-            if let Some(frame) = progress.frame_for(&event) {
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-            }
-        }
-        if let Some(output) = slot.wait(Duration::ZERO) {
-            // Completion observed: drain what was published before the
-            // slot, then terminate.
-            while let Some(event) = sub.try_recv() {
-                if let Some(frame) = progress.frame_for(&event) {
-                    if writer.write_chunk(frame.as_bytes()).is_err() {
-                        rec.counter_add("serve.write_failures", 1);
-                        return StreamOutcome::Streamed(200);
-                    }
-                }
-            }
-            state.observe_run_cost(cost, output.wall_ms);
-            let terminal = match &output.report {
-                Ok(report) => sse_frame(
-                    "report",
-                    &run_json_body(state, experiment, opts.quick, coalesced, &output, report),
-                ),
-                Err(message) => sse_frame(
-                    "error",
-                    &to_json(&Value::Map(vec![("error".into(), json_str(message))])),
-                ),
+    };
+    let (slot, coalesced) = state.runs.claim(&run.key);
+    let sub = rec
+        .bus()
+        .subscribe_run(DEFAULT_SUBSCRIBER_CAPACITY, slot.run_id());
+    std::thread::scope(|scope| {
+        if !coalesced {
+            let execute = || {
+                state
+                    .runs
+                    .execute(&run.key, &slot, run.experiment, &run.cfg, run.cost)
             };
-            if writer.write_chunk(terminal.as_bytes()).is_err() || writer.finish().is_err() {
-                rec.counter_add("serve.write_failures", 1);
-            }
-            return StreamOutcome::Streamed(200);
-        }
-        if Instant::now() >= end {
-            rec.counter_add("serve.deadline_exceeded", 1);
-            let data = to_json(&Value::Map(vec![
-                ("experiment".into(), json_str(experiment.id)),
-                ("deadline_ms".into(), json_num(deadline.as_millis())),
-                (
-                    "detail".into(),
-                    json_str(
-                        "this waiter detached; the run continues on the scheduler and the warm \
-                         cache makes a retry cheap",
-                    ),
-                ),
-            ]));
-            if writer
-                .write_chunk(sse_frame("timeout", &data).as_bytes())
+            // Spawning fails only when the process is out of threads; the
+            // claimed run must execute all the same (see `sched`).
+            if std::thread::Builder::new()
+                .spawn_scoped(scope, execute)
                 .is_err()
-                || writer.finish().is_err()
             {
-                rec.counter_add("serve.write_failures", 1);
+                execute();
             }
-            return StreamOutcome::Streamed(200);
+        }
+        if write_run_stream(state, writer, sub, &slot, &run, coalesced).is_err() {
+            rec.counter_add("serve.write_failures", 1);
+        }
+    });
+    StreamOutcome::Streamed(200)
+}
+
+/// Writes a run stream after its response head: the `start` frame, the
+/// events `sub` receives until `slot` holds the run's output, and the
+/// terminal frame. Fails on the first write error, when the client has
+/// gone away; `sub` drops with the return.
+fn write_run_stream(
+    state: &ServerState,
+    mut writer: ChunkedWriter<'_, TcpStream>,
+    sub: Subscription,
+    slot: &RunSlot,
+    run: &PreparedRun,
+    coalesced: bool,
+) -> std::io::Result<()> {
+    let mut start = vec![
+        ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
+        ("experiment".into(), json_str(run.experiment.id)),
+        ("run".into(), json_num(slot.run_id())),
+        ("coalesced".into(), Value::Bool(coalesced)),
+        ("weight".into(), json_num(run.experiment.weight)),
+    ];
+    if let Some(eta) = state.runs.eta_hint_ms(run.cost) {
+        start.push(("eta_hint_ms".into(), json_num(eta)));
+    }
+    writer.write_chunk(sse_frame("start", &to_json(&Value::Map(start))).as_bytes())?;
+
+    let mut progress = StreamProgress::new();
+    let mut forward = |event: TelemetryEvent| match progress.frame_for(&event) {
+        Some(frame) => writer.write_chunk(frame.as_bytes()),
+        None => Ok(()),
+    };
+    let output = loop {
+        // Look at the slot *before* draining: the run published all its
+        // events before its output, so the drain after seeing the output
+        // forwards every one of them ahead of the terminal event.
+        let output = slot.published();
+        while let Some(event) = sub.try_recv() {
+            forward(event)?;
+        }
+        if let Some(output) = output {
+            break output;
         }
         // Block until the next event, the poll interval, or bus close.
         if let Some(event) = sub.recv_timeout(STREAM_POLL) {
-            if let Some(frame) = progress.frame_for(&event) {
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-            }
+            forward(event)?;
         }
-    }
+    };
+    let terminal = match &output.report {
+        Ok(report) => sse_frame(
+            "report",
+            &run_json_body(
+                state,
+                run.experiment,
+                run.opts.quick,
+                coalesced,
+                &output,
+                report,
+            ),
+        ),
+        Err(message) => sse_frame(
+            "error",
+            &to_json(&Value::Map(vec![("error".into(), json_str(message))])),
+        ),
+    };
+    writer.write_chunk(terminal.as_bytes())?;
+    writer.finish()
 }
 
-/// Per-stream accumulator turning bus events into enriched SSE frames.
+/// Per-stream accumulator turning one run's bus events into enriched SSE
+/// frames.
 struct StreamProgress {
-    run_id: u64,
     started: Instant,
     memo_hits: u64,
     disk_hits: u64,
 }
 
 impl StreamProgress {
-    fn new(run_id: u64, started: Instant) -> StreamProgress {
+    fn new() -> StreamProgress {
         StreamProgress {
-            run_id,
-            started,
+            started: Instant::now(),
             memo_hits: 0,
             disk_hits: 0,
         }
     }
 
-    /// The SSE frame for one bus event, or `None` for events this stream
-    /// suppresses (other runs; span noise — the `/events` firehose has
-    /// those).
+    /// The SSE frame for one bus event, or `None` for span noise this
+    /// stream suppresses (the `/events` firehose has it).
     fn frame_for(&mut self, event: &TelemetryEvent) -> Option<String> {
-        if event.run != self.run_id {
-            return None;
-        }
         match &event.kind {
             EventKind::PhaseEnter { .. } | EventKind::PhaseExit { .. } => {
                 Some(sse_frame(event.kind.label(), &event.to_json()))
@@ -1389,11 +1296,9 @@ mod tests {
             addr: "127.0.0.1:0".to_string(),
             workers,
             queue_cap,
-            request_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_millis(500),
             max_requests_per_connection: 16,
-            drain_timeout: Duration::from_secs(5),
             limits: Limits::default(),
         }
     }
@@ -1696,6 +1601,7 @@ mod tests {
             ("{\"typo\":true}", "typo"),
             ("{\"sampling\":\"simpoint\"}", "sampling"),
             ("{\"sampling_interval\":5000}", "sampling_interval"),
+            ("{\"deadline_ms\":1}", "deadline_ms"),
             // `--jobs` is the one way to set the worker count.
             ("{\"jobs\":2}", "jobs"),
         ] {

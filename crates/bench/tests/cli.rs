@@ -285,6 +285,7 @@ fn removed_store_and_sampling_flags_are_unknown() {
         &["table1", "--quick", "--trace-store", traces],
         &["table1", "--quick", "--no-trace-store"],
         &["cache-gc", "--cache-dir", cache, "--max-trace-bytes", "0"],
+        &["table1", "--quick", "--request-timeout-ms", "5"],
     ];
     for args in cases {
         let out = run(args);

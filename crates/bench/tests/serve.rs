@@ -2,8 +2,8 @@
 //! serves health/experiments/run/metrics/cache-gc endpoints over its warm
 //! engine, answers runs with schema-versioned structured reports (and
 //! `?format=text` byte-identical to batch mode), and drains cleanly on
-//! SIGTERM. Concurrency behavior (request coalescing, saturation,
-//! deadline detach) lives in `serve_concurrency.rs`.
+//! SIGTERM. Concurrency behavior (request coalescing, saturation, a
+//! client hanging up on a shared run) lives in `serve_concurrency.rs`.
 
 #![cfg(unix)]
 
@@ -305,6 +305,66 @@ fn streamed_run_emits_ordered_events_then_the_report() {
     assert_eq!(code, 0);
 }
 
+/// A streamed run is live: its progress reaches the client while the run
+/// executes, not in one burst once it has finished. A cold quick `table1`
+/// on a seed no other run used simulates 43 jobs, and each job's
+/// `progress` frame leaves as it completes, so the first one arrives well
+/// before the `report` frame.
+#[test]
+fn streamed_run_delivers_progress_while_it_executes() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let body = "{\"quick\":true,\"seed\":7}";
+    let raw = format!(
+        "POST /run/table1?stream=events HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes()).expect("send request");
+
+    // Each SSE frame leaves in one chunk, so a frame's `event:` line is
+    // contiguous in the raw bytes; note when each kind first shows up.
+    let seen = |raw: &[u8], pattern: &[u8]| raw.windows(pattern.len()).any(|w| w == pattern);
+    let (mut raw, mut buf) = (Vec::new(), [0u8; 4096]);
+    let (mut first_progress, mut report) = (None, None);
+    loop {
+        let n = stream.read(&mut buf).expect("read stream");
+        if n == 0 {
+            break;
+        }
+        raw.extend_from_slice(&buf[..n]);
+        let now = Instant::now();
+        if first_progress.is_none() && seen(&raw, b"event: progress\n") {
+            first_progress = Some(now);
+        }
+        if report.is_none() && seen(&raw, b"event: report\n") {
+            report = Some(now);
+        }
+    }
+    let response = String::from_utf8(raw).expect("utf-8 stream");
+    let (_, payload) = response.split_once("\r\n\r\n").expect("header boundary");
+    let events = parse_sse(&dechunk(payload));
+    let (last_event, last_data) = events.last().expect("events");
+    assert_eq!(last_event, "report", "{events:?}");
+    let terminal: Value = serde_json::from_str(last_data).expect("report data is JSON");
+    let engine = terminal.field("engine").expect("engine deltas");
+    assert_eq!(num_field(engine, "simulated_jobs_delta"), 43, "{engine:?}");
+    let wall_ms = num_field(&terminal, "wall_ms");
+
+    let first_progress = first_progress.expect("a progress frame arrived");
+    let lead = report.expect("the report frame arrived") - first_progress;
+    assert!(
+        lead.as_millis() * 2 >= u128::from(wall_ms),
+        "the first progress frame led the report by {} ms of a {wall_ms} ms run",
+        lead.as_millis()
+    );
+
+    let code = daemon.sigterm_and_wait(Duration::from_secs(30));
+    assert_eq!(code, 0);
+}
+
 #[test]
 fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
     let daemon = Daemon::spawn(&[]);
@@ -402,10 +462,10 @@ fn daemon_serves_runs_from_a_warm_cache_and_drains_on_sigterm() {
     assert_eq!(status, 200);
     assert!(list.contains("\"id\":\"table1\""), "{list}");
 
-    // A deadline too tight for a cold run maps to 504; the daemon survives
-    // and the abandoned run keeps warming the shared cache.
-    let (status, timeout_body) = daemon.post("/run/table1", "{\"quick\":true,\"deadline_ms\":1}");
-    assert_eq!(status, 504, "{timeout_body}");
+    // Runs have no per-request deadline: the option is unknown.
+    let (status, body) = daemon.post("/run/table1", "{\"quick\":true,\"deadline_ms\":1}");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown option 'deadline_ms'"), "{body}");
 
     // First real run: the default response carries the schema-versioned
     // structured report (report_v1), not a text blob.

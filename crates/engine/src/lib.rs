@@ -29,7 +29,7 @@
 //!    nothing. Campaigns that do overlap on one engine may each simulate a
 //!    job they share; that costs time and never changes a result (see
 //!    *Determinism*). Identical concurrent requests share one run one layer
-//!    up, in the `repro serve` run scheduler.
+//!    up, in `repro serve`'s table of in-flight runs.
 //!
 //! # Determinism
 //!

@@ -140,10 +140,13 @@ hits_after=$(metric horizon_engine_memo_hits)
 echo "memo hits: ${hits_before} -> ${hits_after}"
 test "${hits_after}" -gt "${hits_before}"
 
-# Unknown options are rejected loudly; sampling is gone, so its option
-# is one of them.
+# Unknown options are rejected loudly; sampling and per-request
+# deadlines are gone, so their options are among them.
 code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
   -d '{"quick":true,"sampling":"simpoint"}' "${BASE}/run/table1")
+test "${code}" -eq 400
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+  -d '{"quick":true,"deadline_ms":1}' "${BASE}/run/table1")
 test "${code}" -eq 400
 
 # /cache/gc reports what it pruned.
