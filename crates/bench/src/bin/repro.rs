@@ -367,10 +367,10 @@ fn write_sink(
 /// doesn't flood stderr (phase transitions always print).
 const PROGRESS_THROTTLE: Duration = Duration::from_millis(150);
 
-/// The `--progress` stderr renderer: a thread subscribed to the live
-/// event bus, filtered to the batch run, printing phase transitions and
-/// throttled jobs-done/ETA lines. Strictly stderr — stdout report bytes
-/// stay diffable.
+/// The `--progress` stderr renderer: a thread subscribed to the batch
+/// run on the live event bus, printing phase transitions and throttled
+/// jobs-done lines with the run's elapsed time and the current campaign's
+/// ETA. Strictly stderr — stdout report bytes stay diffable.
 struct ProgressView {
     stop: Arc<AtomicBool>,
     handle: std::thread::JoinHandle<()>,
@@ -403,9 +403,7 @@ impl ProgressView {
                             eprintln!("progress: phase {name}");
                         }
                         EventKind::Progress {
-                            completed,
-                            total,
-                            cached: _,
+                            completed, total, ..
                         } => {
                             let done = completed == total;
                             let due =
@@ -415,19 +413,18 @@ impl ProgressView {
                             }
                             last_jobs_line = Some(Instant::now());
                             let elapsed = started.elapsed().as_secs_f64();
-                            if completed > 0 && total > completed {
-                                let eta = elapsed * (total - completed) as f64 / completed as f64;
-                                eprintln!(
+                            match event.kind.eta_nanos() {
+                                Some(eta) => eprintln!(
                                     "progress: {completed}/{total} jobs  elapsed {elapsed:.1}s  \
-                                     eta {eta:.1}s"
-                                );
-                            } else {
-                                eprintln!(
+                                     eta {:.1}s",
+                                    eta as f64 / 1e9
+                                ),
+                                None => eprintln!(
                                     "progress: {completed}/{total} jobs  elapsed {elapsed:.1}s"
-                                );
+                                ),
                             }
                         }
-                        _ => {}
+                        EventKind::PhaseExit { .. } => {}
                     }
                 }
             })

@@ -25,7 +25,6 @@
 //! | GET  | `/healthz` | router role + per-peer liveness view |
 //! | GET  | `/experiments` | served locally from the registry |
 //! | GET  | `/metrics` | aggregated scrape, samples labeled `node="…"` |
-//! | GET  | `/events` | SSE byte-tunnel to the first alive worker |
 //! | POST | `/run/{exp}` | admission → rendezvous route → buffered relay |
 //! | POST | `/run/{exp}?stream=events` | admission → route → SSE byte-tunnel |
 //!
@@ -49,8 +48,8 @@ use serde::Value;
 use crate::http::{read_request, Limits, Request, Response};
 use crate::sched::RunKey;
 use crate::serve::{
-    accept_until_shutdown, json_num, json_str, prepare_run, reject_saturated, to_json, Pool,
-    Saturated,
+    accept_until_shutdown, json_num, json_str, prepare_run, reject_saturated, streamed_run,
+    to_json, Pool, Saturated,
 };
 
 // ---------------------------------------------------------------------------
@@ -110,10 +109,11 @@ pub(crate) fn rendezvous_order(key: &str, nodes: &[String]) -> Vec<usize> {
 /// scheme. Two requests that would coalesce on a worker always produce
 /// the same routing key, so they always reach the same worker.
 pub(crate) fn route_key(key: &RunKey) -> String {
-    // The constant `sampling=exact` tail stays so that no run's shard moves.
+    // The constant `instructions`, `warmup` and `sampling` parts name
+    // options that no longer exist; they stay so that no run's shard moves.
     let canonical = format!(
-        "run;experiment={};quick={};instructions={:?};warmup={:?};seed={:?};sampling=exact",
-        key.experiment, key.quick, key.instructions, key.warmup, key.seed,
+        "run;experiment={};quick={};instructions=None;warmup=None;seed={:?};sampling=exact",
+        key.experiment, key.quick, key.seed,
     );
     Fingerprint::of_canonical(canonical.as_bytes())
         .as_str()
@@ -698,11 +698,10 @@ fn handle_connection(state: &Arc<RouterState>, stream: TcpStream) {
     };
     let label = route_label(&request);
 
-    // SSE requests own the socket: the router tunnels upstream bytes
+    // A streamed run owns the socket: the router tunnels upstream bytes
     // until EOF and never frames a response of its own on success.
-    if let Some(tunnel) = tunnel_kind(&request) {
-        if let Some(response) = tunnel_stream(state, tunnel, &request, client_ip, reader.get_mut())
-        {
+    if let Some(name) = streamed_run(&request) {
+        if let Some(response) = tunnel_stream(state, name, &request, client_ip, reader.get_mut()) {
             count_status(rec, response.status);
             let _ = response.write_to(reader.get_mut(), false);
         }
@@ -756,32 +755,9 @@ fn route_label(request: &Request) -> &'static str {
         "/healthz" => "healthz",
         "/experiments" => "experiments",
         "/metrics" => "metrics",
-        "/events" => "events",
         _ if path.starts_with("/run/") => "run",
         _ => "other",
     }
-}
-
-/// An SSE request the router must tunnel rather than buffer.
-enum TunnelKind<'a> {
-    /// `POST /run/{experiment}?stream=events` — routed by fingerprint.
-    Run(&'a str),
-    /// `GET /events` — any alive worker's firehose.
-    Firehose,
-}
-
-fn tunnel_kind(request: &Request) -> Option<TunnelKind<'_>> {
-    let path = request.path.split('?').next().unwrap_or("");
-    if request.method == "GET" && path == "/events" {
-        return Some(TunnelKind::Firehose);
-    }
-    if request.method == "POST"
-        && path.starts_with("/run/")
-        && request.query_param("stream").is_some()
-    {
-        return Some(TunnelKind::Run(&path["/run/".len()..]));
-    }
-    None
 }
 
 /// Routes a framed (non-SSE) request.
@@ -794,7 +770,7 @@ fn route(state: &Arc<RouterState>, request: &Request, client_ip: Option<IpAddr>)
         ("POST", run_path) if run_path.starts_with("/run/") => {
             proxy_run(state, request, client_ip, &run_path["/run/".len()..])
         }
-        (_, "/healthz" | "/experiments" | "/metrics" | "/events") => {
+        (_, "/healthz" | "/experiments" | "/metrics") => {
             Routed::Framed(Response::error(405, "method not allowed").with_header("Allow", "GET"))
         }
         (_, run_path) if run_path.starts_with("/run/") => {
@@ -929,35 +905,30 @@ fn proxy_run(
     ))
 }
 
-/// Tunnels an SSE request: pick the upstream (rendezvous for a run,
-/// first alive worker for the firehose), send the rebuilt request, and
-/// relay upstream bytes to the client until EOF. Failover happens only
-/// while zero bytes have been relayed — once the stream has started,
-/// a dying worker simply truncates it (the client sees EOF and retries;
-/// the retried run fails over by the normal route).
+/// Tunnels a streamed run of experiment `name`: validate and admit it as
+/// [`proxy_run`] does, pick the upstream by rendezvous, send the rebuilt
+/// request, and relay upstream bytes to the client until EOF. Failover
+/// happens only while zero bytes have been relayed — once the stream has
+/// started, a dying worker simply truncates it (the client sees EOF and
+/// retries; the retried run fails over by the normal route).
 ///
 /// Returns `Some(response)` when nothing was relayed and the client
 /// should get a framed error instead.
 fn tunnel_stream(
     state: &Arc<RouterState>,
-    kind: TunnelKind<'_>,
+    name: &str,
     request: &Request,
     client_ip: Option<IpAddr>,
     client: &mut TcpStream,
 ) -> Option<Response> {
-    let order = match kind {
-        TunnelKind::Run(name) => {
-            let prepared = match prepare_run(name, request) {
-                Ok(prepared) => prepared,
-                Err(response) => return Some(response),
-            };
-            if let Err(denied) = state.admit(client_ip, prepared.experiment.weight) {
-                return Some(denied);
-            }
-            state.peer_order(Some(&route_key(&prepared.key)))
-        }
-        TunnelKind::Firehose => state.peer_order(None),
+    let prepared = match prepare_run(name, request) {
+        Ok(prepared) => prepared,
+        Err(response) => return Some(response),
     };
+    if let Err(denied) = state.admit(client_ip, prepared.experiment.weight) {
+        return Some(denied);
+    }
+    let order = state.peer_order(Some(&route_key(&prepared.key)));
     state.recorder.counter_add("cluster.sse_tunnels", 1);
     let raw_request = build_proxy_request(request);
     for peer in order {
@@ -1077,8 +1048,6 @@ mod tests {
         let base = RunKey {
             experiment: "table3",
             quick: true,
-            instructions: None,
-            warmup: None,
             seed: None,
         };
         let same = route_key(&base);
@@ -1090,14 +1059,6 @@ mod tests {
             },
             RunKey {
                 quick: false,
-                ..base.clone()
-            },
-            RunKey {
-                instructions: Some(1000),
-                ..base.clone()
-            },
-            RunKey {
-                warmup: Some(10),
                 ..base.clone()
             },
             RunKey {
@@ -1117,8 +1078,6 @@ mod tests {
         let warm = RunKey {
             experiment: "table1",
             quick: false,
-            instructions: None,
-            warmup: None,
             seed: None,
         };
         assert_eq!(route_key(&warm), "c94cc08d31e3fcce758ab6fb0e346bbe");
@@ -1401,7 +1360,7 @@ mod tests {
         let outcome = tunnel_relay(
             state,
             &peer,
-            b"GET /events HTTP/1.1\r\n\r\n",
+            b"POST /run/table1?stream=events HTTP/1.1\r\n\r\n",
             &mut relay_end,
         );
         server.join().expect("upstream thread");

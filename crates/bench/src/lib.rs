@@ -898,8 +898,8 @@ pub struct Experiment {
     /// One-line description for `repro list`.
     pub summary: &'static str,
     /// Approximate cost: the number of (benchmark × machine) grid cells a
-    /// cold run expands. `repro serve` prices its ETA hints with it, and
-    /// the cluster router charges it against a client's rate limit.
+    /// cold run expands. The cluster router charges it against a client's
+    /// rate limit; a streamed run's `start` frame reports it.
     pub weight: u64,
     /// The driver producing the report.
     pub run: fn(&ReproConfig) -> Result<Report, CoreError>,
@@ -1053,7 +1053,7 @@ pub fn find_experiment(name: &str) -> Option<&'static Experiment> {
 /// Propagates the experiment's error.
 pub fn run_report(e: &Experiment, cfg: &ReproConfig) -> Result<Report, CoreError> {
     // A phase span, so live-bus subscribers (SSE streams, `--progress`)
-    // see experiment enter/exit without following every leaf span.
+    // see the experiment enter and exit.
     let mut span = horizon_telemetry::phase_span("experiment");
     span.record("id", e.id);
     (e.run)(cfg)

@@ -4,8 +4,8 @@
 //! `POST /run` on its connection worker, a streamed one on a scoped
 //! thread beside the connection thread that forwards its events. What the
 //! runs share is [`InFlightRuns`], keyed by [`RunKey`]: the experiment
-//! plus the campaign-shaping options `quick`, `instructions`, `warmup`
-//! and `seed`. The first request for a key *leads*:
+//! plus the campaign-shaping options `quick` and `seed`. The first
+//! request for a key *leads*:
 //! [`InFlightRuns::claim`] hands it a fresh [`RunSlot`], and it executes
 //! the run with [`InFlightRuns::execute`]. Identical requests that arrive
 //! while the run executes *follow*: they get the leader's slot and wait
@@ -25,7 +25,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -40,17 +39,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Estimated cost of one run: [`Experiment::weight`] × campaign window
-/// (warmup + measured instructions), the unit of the ETA model. Priced
-/// once per request, when the request is validated.
-pub(crate) fn estimated_cost(experiment: &Experiment, cfg: &ReproConfig) -> u64 {
-    experiment.weight.saturating_mul(
-        cfg.campaign
-            .instructions
-            .saturating_add(cfg.campaign.warmup),
-    )
-}
-
 /// Identity of a run for coalescing: everything that shapes the report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RunKey {
@@ -58,10 +46,6 @@ pub(crate) struct RunKey {
     pub experiment: &'static str,
     /// Whether the quick-scale config was requested.
     pub quick: bool,
-    /// Campaign window override.
-    pub instructions: Option<u64>,
-    /// Warmup override.
-    pub warmup: Option<u64>,
     /// Seed override.
     pub seed: Option<u64>,
 }
@@ -126,15 +110,10 @@ impl RunSlot {
     }
 }
 
-/// The runs executing now, by coalescing key, and the ETA model their
-/// wall times feed.
+/// The runs executing now, by coalescing key.
 pub(crate) struct InFlightRuns {
     runs: Mutex<HashMap<RunKey, Arc<RunSlot>>>,
     recorder: Arc<Recorder>,
-    /// Observed execution nanoseconds per unit of [`estimated_cost`],
-    /// fixed-point ×1000, EWMA-updated once per executed run. Zero until
-    /// the first run completes: no ETA hint before that.
-    nanos_per_cost_x1000: AtomicU64,
 }
 
 impl InFlightRuns {
@@ -149,7 +128,6 @@ impl InFlightRuns {
         InFlightRuns {
             runs: Mutex::new(HashMap::new()),
             recorder,
-            nanos_per_cost_x1000: AtomicU64::new(0),
         }
     }
 
@@ -185,7 +163,6 @@ impl InFlightRuns {
         slot: &RunSlot,
         experiment: &Experiment,
         cfg: &ReproConfig,
-        cost: u64,
     ) {
         let rec = &self.recorder;
         rec.gauge_add("serve.active_runs", 1);
@@ -220,7 +197,6 @@ impl InFlightRuns {
             disk_hits_delta: own("engine.disk_hits"),
             simulated_jobs_delta: own("engine.simulated_jobs"),
         };
-        self.observe_cost(cost, output.wall_ms);
         // Retire the key and settle the books *before* publishing: a
         // waiter that wakes on the publish may immediately read the run
         // metrics and must see this run fully accounted for. A claim
@@ -231,32 +207,6 @@ impl InFlightRuns {
         rec.gauge_add("serve.active_runs", -1);
         rec.counter_add("serve.runs_executed", 1);
         slot.publish(output);
-    }
-
-    /// Folds one executed run into the ETA model.
-    fn observe_cost(&self, cost: u64, wall_ms: u128) {
-        if cost == 0 {
-            return;
-        }
-        let measured = (wall_ms as u64)
-            .saturating_mul(1_000_000)
-            .saturating_mul(1000)
-            / cost;
-        let old = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            measured
-        } else {
-            // Light EWMA: history dominates, one outlier can't swing it.
-            (old.saturating_mul(3).saturating_add(measured)) / 4
-        };
-        self.nanos_per_cost_x1000.store(next, Ordering::Relaxed);
-    }
-
-    /// ETA hint in milliseconds for a run of estimated `cost`, or `None`
-    /// before the model has seen any run.
-    pub(crate) fn eta_hint_ms(&self, cost: u64) -> Option<u64> {
-        let rate = self.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        (rate != 0).then(|| cost.saturating_mul(rate) / 1000 / 1_000_000)
     }
 }
 
@@ -275,8 +225,6 @@ mod tests {
         RunKey {
             experiment: experiment.id,
             quick: false,
-            instructions: Some(15_000),
-            warmup: Some(5_000),
             seed: Some(42),
         }
     }
@@ -295,7 +243,7 @@ mod tests {
         assert_eq!(runs.executing(), 1, "one distinct run");
         assert!(second.published().is_none(), "nothing published yet");
 
-        runs.execute(&key, &first, experiment, &ReproConfig::smoke(), 1);
+        runs.execute(&key, &first, experiment, &ReproConfig::smoke());
         let a = first.wait().report.expect("experiment succeeds");
         let b = second.wait().report.expect("follower's report");
         assert_eq!(a, b, "leader and follower read the same report");
@@ -330,7 +278,7 @@ mod tests {
         let (follower, coalesced) = runs.claim(&key);
         assert!(coalesced);
         // The panic is caught: the executing thread returns normally.
-        runs.execute(&key, &leader, &BOOM, &ReproConfig::smoke(), 1);
+        runs.execute(&key, &leader, &BOOM, &ReproConfig::smoke());
         for slot in [&leader, &follower] {
             let error = slot
                 .wait()
@@ -343,41 +291,5 @@ mod tests {
         assert_eq!(recorder.gauge_value("serve.active_runs"), 0);
         assert_eq!(recorder.counter_value("serve.runs_executed"), 1);
         assert!(!runs.claim(&key).1, "a retry leads a new run");
-    }
-
-    fn empty(_: &ReproConfig) -> Result<Report, CoreError> {
-        Ok(Report::default())
-    }
-
-    static EMPTY: Experiment = Experiment {
-        id: "empty",
-        aliases: &[],
-        summary: "test-only run that returns at once",
-        weight: 1,
-        run: empty,
-    };
-
-    #[test]
-    fn a_coalesced_pair_feeds_the_eta_model_once() {
-        const COST: u64 = 20_000;
-        // A prior far from what the run measures, so that a second
-        // observation of the same run would move the average again.
-        let (runs, _) = table();
-        runs.observe_cost(1, 1_000);
-        let key = key_for(&EMPTY);
-        let (leader, _) = runs.claim(&key);
-        let (follower, coalesced) = runs.claim(&key);
-        assert!(coalesced);
-        runs.execute(&key, &leader, &EMPTY, &ReproConfig::smoke(), COST);
-        let output = leader.wait();
-        follower.wait();
-
-        let (once, _) = table();
-        once.observe_cost(1, 1_000);
-        once.observe_cost(COST, output.wall_ms);
-        let rate = |table: &InFlightRuns| table.nanos_per_cost_x1000.load(Ordering::Relaxed);
-        assert_eq!(rate(&runs), rate(&once), "one run, one observation");
-        once.observe_cost(COST, output.wall_ms);
-        assert_ne!(rate(&runs), rate(&once), "a second observation shows");
     }
 }

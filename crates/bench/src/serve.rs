@@ -12,9 +12,8 @@
 //! |---|---|
 //! | `GET /healthz` | liveness + warm-cache size |
 //! | `GET /experiments` | the experiment registry as JSON |
-//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for quick/window/seed options |
+//! | `POST /run/{experiment}[?format=json\|text]` | run one experiment; JSON body for the `quick` and `seed` options |
 //! | `POST /run/{experiment}?stream=events` | same run, but streamed: live SSE progress events, terminated by the structured report |
-//! | `GET /events[?limit=N]` | firehose: every live telemetry event on the daemon, as SSE |
 //! | `GET /metrics` | live Prometheus text exposition of the shared recorder |
 //! | `POST /cache/gc` | LRU-prune the on-disk cache ([`horizon_engine::GcReport`] JSON; `max_entries` body option) |
 //! | `GET /peer/health` | cluster liveness view: load, queue depth, memo size (polled by a [`crate::cluster`] router) |
@@ -37,18 +36,17 @@
 //! # Live streaming
 //!
 //! `?stream=events` upgrades a run request to a chunked
-//! `text/event-stream`: a `start` event (run id, coalescing, an ETA hint
-//! from [`Experiment::weight`](crate::Experiment) scaled by observed
-//! cost), then live `phase_enter`/`phase_exit`, `progress` (jobs
-//! done/total, memo and disk hit counts, elapsed-based ETA) and
-//! `counter` events filtered to exactly this run off the recorder's
-//! [`horizon_telemetry::EventBus`], and finally one `report` event whose
-//! payload is **byte-equivalent** to the non-streaming JSON response
-//! (modulo the measured `wall_ms`). Streaming is observation only — the
-//! run itself and its report bytes are identical with or without it.
-//! `GET /events` is the unfiltered counterpart: every event the daemon's
-//! recorder publishes, for dashboards; `?limit=N` closes after N events.
-//! Stream connections always close when done (`Connection: close`).
+//! `text/event-stream`: a `start` event (run id, coalescing,
+//! [`Experiment::weight`](crate::Experiment)), then this run's live
+//! `phase_enter`/`phase_exit` and `progress` events off the recorder's
+//! [`horizon_telemetry::EventBus`] (a `progress` frame counts the
+//! campaign's jobs done/total, the run's memo and disk hits so far from
+//! the jobs' own outcomes, and the campaign's ETA), and finally one
+//! `report` event whose payload is **byte-equivalent** to the
+//! non-streaming JSON response (modulo the measured `wall_ms`).
+//! Streaming is observation only — the run itself and its report bytes
+//! are identical with or without it. Stream connections always close
+//! when done (`Connection: close`).
 //!
 //! # Runs
 //!
@@ -99,7 +97,7 @@ use horizon_core::report::Report;
 use horizon_core::report_v1::ReportV1;
 use horizon_engine::Engine;
 use horizon_telemetry::{
-    EventKind, Recorder, Subscription, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY,
+    EventKind, JobOutcome, Recorder, Subscription, TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY,
 };
 
 use serde::{Serialize, Value};
@@ -373,9 +371,6 @@ struct ServerState {
     /// Connections accepted but not yet claimed by a worker — gauged in
     /// `/healthz` and `/metrics` so saturation is visible before 503s.
     queue_depth: AtomicUsize,
-    /// Mirror of [`Server::shutdown_handle`] (and the signal flag), so
-    /// long-lived event streams notice shutdown and terminate cleanly.
-    shutdown: Arc<AtomicBool>,
 }
 
 /// The daemon: a bound listener plus its worker pool. Construct with
@@ -403,7 +398,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(ServerState {
             engine,
             runs: InFlightRuns::new(Arc::clone(&recorder)),
@@ -411,7 +405,6 @@ impl Server {
             opts,
             started: Instant::now(),
             queue_depth: AtomicUsize::new(0),
-            shutdown: Arc::clone(&shutdown),
         });
         let handler_state = Arc::clone(&state);
         let pool = Pool::new(
@@ -428,7 +421,7 @@ impl Server {
             local_addr,
             state,
             pool,
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -520,12 +513,12 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                 span.record("path", request.path.as_str());
                 label = route_label(&request);
                 let keep = request.keep_alive && served + 1 < cap;
-                match stream_kind(&request) {
-                    // Streaming handlers own the socket from here: they
-                    // write a chunked response themselves and the
-                    // connection always closes afterwards (the stream has
-                    // no framed length to resynchronize keep-alive on).
-                    Some(kind) => match serve_stream(state, kind, &request, reader.get_mut()) {
+                match streamed_run(&request) {
+                    // A streamed run owns the socket from here: it writes
+                    // a chunked response itself and the connection always
+                    // closes afterwards (the stream has no framed length
+                    // to resynchronize keep-alive on).
+                    Some(name) => match run_stream(state, name, &request, reader.get_mut()) {
                         StreamOutcome::Streamed(status) => {
                             span.record("status", u64::from(status));
                             span.record("streamed", true);
@@ -615,36 +608,21 @@ fn route_label(request: &Request) -> &'static str {
         "/experiments" => "experiments",
         "/metrics" => "metrics",
         "/cache/gc" => "cache_gc",
-        "/events" => "events",
         "/peer/health" => "peer_health",
         _ if path.starts_with("/run/") => "run",
         _ => "other",
     }
 }
 
-/// A request that must be answered as a live event stream rather than a
-/// framed response.
-enum StreamKind<'a> {
-    /// `POST /run/{experiment}?stream=…` — one run's progress.
-    Run(&'a str),
-    /// `GET /events` — the unfiltered daemon-wide event firehose.
-    Firehose,
-}
-
-/// Detects stream requests before normal routing. Returns `None` for
-/// everything the framed [`route`] table should handle.
-fn stream_kind(request: &Request) -> Option<StreamKind<'_>> {
+/// The experiment of a streamed run request (`POST
+/// /run/{experiment}?stream=…`), which is answered as a live event stream
+/// rather than a framed response; `None` for everything the framed
+/// [`route`] table handles. Crate-visible: the cluster router tunnels
+/// exactly these requests.
+pub(crate) fn streamed_run(request: &Request) -> Option<&str> {
     let path = request.path.split('?').next().unwrap_or("");
-    if request.method == "GET" && path == "/events" {
-        return Some(StreamKind::Firehose);
-    }
-    if request.method == "POST"
-        && path.starts_with("/run/")
-        && request.query_param("stream").is_some()
-    {
-        return Some(StreamKind::Run(&path["/run/".len()..]));
-    }
-    None
+    let name = path.strip_prefix("/run/")?;
+    (request.method == "POST" && request.query_param("stream").is_some()).then_some(name)
 }
 
 /// What a streaming handler did with the socket.
@@ -655,19 +633,6 @@ enum StreamOutcome {
     /// Pre-stream validation failed before any byte hit the wire; answer
     /// as a normal framed response (keep-alive still possible).
     Plain(Response),
-}
-
-/// Dispatches a detected stream request.
-fn serve_stream(
-    state: &Arc<ServerState>,
-    kind: StreamKind<'_>,
-    request: &Request,
-    out: &mut TcpStream,
-) -> StreamOutcome {
-    match kind {
-        StreamKind::Run(name) => run_stream(state, name, request, out),
-        StreamKind::Firehose => firehose(state, request, out),
-    }
 }
 
 /// One SSE frame: `event: <name>` + `data: <json>` + blank line.
@@ -687,9 +652,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         ("POST", run_path) if run_path.starts_with("/run/") => {
             run(state, &run_path["/run/".len()..], request)
         }
-        // `GET /events` never reaches this table — `stream_kind`
-        // intercepts it — so any `/events` seen here is a bad method.
-        (_, "/healthz" | "/experiments" | "/metrics" | "/events" | "/peer/health") => {
+        (_, "/healthz" | "/experiments" | "/metrics" | "/peer/health") => {
             Response::error(405, "method not allowed").with_header("Allow", "GET")
         }
         (_, "/cache/gc") => Response::error(405, "method not allowed").with_header("Allow", "POST"),
@@ -823,8 +786,6 @@ fn parse_gc_max_entries(request: &Request) -> Result<usize, HttpError> {
 /// Per-request run options, mirroring the batch CLI flags.
 pub(crate) struct RunOptions {
     pub(crate) quick: bool,
-    pub(crate) instructions: Option<u64>,
-    pub(crate) warmup: Option<u64>,
     pub(crate) seed: Option<u64>,
 }
 
@@ -839,8 +800,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
     use serde::Deserialize;
     let mut opts = RunOptions {
         quick: false,
-        instructions: None,
-        warmup: None,
         seed: None,
     };
     if request.body.is_empty() {
@@ -857,17 +816,6 @@ fn parse_run_options(request: &Request) -> Result<RunOptions, HttpError> {
                 opts.quick = bool::from_value(value)
                     .map_err(|e| HttpError::new(400, format!("option 'quick': {e}")))?;
             }
-            "instructions" => {
-                let n = parse_u64(value, "instructions")?;
-                if n == 0 {
-                    return Err(HttpError::new(
-                        400,
-                        "option 'instructions' must be positive",
-                    ));
-                }
-                opts.instructions = Some(n);
-            }
-            "warmup" => opts.warmup = Some(parse_u64(value, "warmup")?),
             "seed" => opts.seed = Some(parse_u64(value, "seed")?),
             other => {
                 return Err(HttpError::new(400, format!("unknown option '{other}'")));
@@ -893,9 +841,6 @@ pub(crate) struct PreparedRun {
     pub(crate) opts: RunOptions,
     pub(crate) cfg: ReproConfig,
     pub(crate) key: RunKey,
-    /// The run's cost estimate (`weight` × campaign window), the unit of
-    /// the ETA model.
-    pub(crate) cost: u64,
 }
 
 pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, Response> {
@@ -916,12 +861,6 @@ pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, 
     } else {
         ReproConfig::default()
     };
-    if let Some(instructions) = opts.instructions {
-        cfg.campaign.instructions = instructions;
-    }
-    if let Some(warmup) = opts.warmup {
-        cfg.campaign.warmup = warmup;
-    }
     if let Some(seed) = opts.seed {
         cfg.campaign.seed = seed;
     }
@@ -929,17 +868,13 @@ pub(crate) fn prepare_run(name: &str, request: &Request) -> Result<PreparedRun, 
     let key = RunKey {
         experiment: experiment.id,
         quick: opts.quick,
-        instructions: opts.instructions,
-        warmup: opts.warmup,
         seed: opts.seed,
     };
-    let cost = crate::sched::estimated_cost(experiment, &cfg);
     Ok(PreparedRun {
         experiment,
         opts,
         cfg,
         key,
-        cost,
     })
 }
 
@@ -999,11 +934,10 @@ fn run(state: &Arc<ServerState>, name: &str, request: &Request) -> Response {
         opts,
         cfg,
         key,
-        cost,
     } = prepared;
     let (slot, coalesced) = state.runs.claim(&key);
     if !coalesced {
-        state.runs.execute(&key, &slot, experiment, &cfg, cost);
+        state.runs.execute(&key, &slot, experiment, &cfg);
     }
     let output = slot.wait();
     let report = match &output.report {
@@ -1029,7 +963,7 @@ const STREAM_POLL: Duration = Duration::from_millis(50);
 /// Opens the chunked response, claims the run and subscribes to its
 /// events, and only then starts a leader's run on a scoped thread, so no
 /// event of the run is missed. This thread forwards the run's
-/// phase/progress/counter events as SSE frames and ends with a `report`
+/// phase and progress events as SSE frames and ends with a `report`
 /// event carrying the same JSON body as the non-streaming response, or an
 /// `error` event. A client that goes away ends the forwarding, not the
 /// run: its subscription drops at once and the scope joins the run.
@@ -1074,7 +1008,7 @@ fn run_stream(
             let execute = || {
                 state
                     .runs
-                    .execute(&run.key, &slot, run.experiment, &run.cfg, run.cost)
+                    .execute(&run.key, &slot, run.experiment, &run.cfg)
             };
             // Spawning fails only when the process is out of threads; the
             // claimed run must execute all the same (see `sched`).
@@ -1104,23 +1038,18 @@ fn write_run_stream(
     run: &PreparedRun,
     coalesced: bool,
 ) -> std::io::Result<()> {
-    let mut start = vec![
+    let start = Value::Map(vec![
         ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
         ("experiment".into(), json_str(run.experiment.id)),
         ("run".into(), json_num(slot.run_id())),
         ("coalesced".into(), Value::Bool(coalesced)),
         ("weight".into(), json_num(run.experiment.weight)),
-    ];
-    if let Some(eta) = state.runs.eta_hint_ms(run.cost) {
-        start.push(("eta_hint_ms".into(), json_num(eta)));
-    }
-    writer.write_chunk(sse_frame("start", &to_json(&Value::Map(start))).as_bytes())?;
+    ]);
+    writer.write_chunk(sse_frame("start", &to_json(&start)).as_bytes())?;
 
     let mut progress = StreamProgress::new();
-    let mut forward = |event: TelemetryEvent| match progress.frame_for(&event) {
-        Some(frame) => writer.write_chunk(frame.as_bytes()),
-        None => Ok(()),
-    };
+    let mut forward =
+        |event: TelemetryEvent| writer.write_chunk(progress.frame_for(&event).as_bytes());
     let output = loop {
         // Look at the slot *before* draining: the run published all its
         // events before its output, so the drain after seeing the output
@@ -1158,8 +1087,7 @@ fn write_run_stream(
     writer.finish()
 }
 
-/// Per-stream accumulator turning one run's bus events into enriched SSE
-/// frames.
+/// Per-stream accumulator turning one run's bus events into SSE frames.
 struct StreamProgress {
     started: Instant,
     memo_hits: u64,
@@ -1175,107 +1103,46 @@ impl StreamProgress {
         }
     }
 
-    /// The SSE frame for one bus event, or `None` for span noise this
-    /// stream suppresses (the `/events` firehose has it).
-    fn frame_for(&mut self, event: &TelemetryEvent) -> Option<String> {
-        match &event.kind {
-            EventKind::PhaseEnter { .. } | EventKind::PhaseExit { .. } => {
-                Some(sse_frame(event.kind.label(), &event.to_json()))
-            }
-            EventKind::CounterDelta { name, delta, .. } => {
-                match *name {
-                    "engine.memo_hits" => self.memo_hits += delta,
-                    "engine.disk_hits" => self.disk_hits += delta,
-                    _ => {}
-                }
-                Some(sse_frame("counter", &event.to_json()))
-            }
-            EventKind::Progress {
-                completed,
-                total,
-                cached,
-            } => {
-                let elapsed_ms = self.started.elapsed().as_millis() as u64;
-                let mut map = vec![
-                    ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
-                    ("seq".into(), json_num(event.seq)),
-                    ("run".into(), json_num(event.run)),
-                    ("completed".into(), json_num(*completed)),
-                    ("total".into(), json_num(*total)),
-                    ("cached".into(), Value::Bool(*cached)),
-                    ("memo_hits".into(), json_num(self.memo_hits)),
-                    ("disk_hits".into(), json_num(self.disk_hits)),
-                    ("elapsed_ms".into(), json_num(elapsed_ms)),
-                ];
-                if *completed > 0 && total > completed {
-                    let eta = elapsed_ms.saturating_mul(total - completed) / completed;
-                    map.push(("eta_ms".into(), json_num(eta)));
-                }
-                Some(sse_frame("progress", &to_json(&Value::Map(map))))
-            }
-            EventKind::SpanStart { .. } | EventKind::SpanEnd { .. } => None,
+    /// The SSE frame for one bus event. A `progress` frame adds the hits
+    /// among the run's jobs so far, the time since the stream opened and
+    /// the campaign's ETA.
+    fn frame_for(&mut self, event: &TelemetryEvent) -> String {
+        let EventKind::Progress {
+            completed,
+            total,
+            outcome,
+            ..
+        } = event.kind
+        else {
+            return sse_frame(event.kind.label(), &event.to_json());
+        };
+        match outcome {
+            JobOutcome::Memo => self.memo_hits += 1,
+            JobOutcome::Disk => self.disk_hits += 1,
+            JobOutcome::Simulated => {}
         }
+        let mut map = vec![
+            ("schema".into(), json_num(horizon_telemetry::EVENT_SCHEMA)),
+            ("seq".into(), json_num(event.seq)),
+            ("run".into(), json_num(event.run)),
+            ("completed".into(), json_num(completed)),
+            ("total".into(), json_num(total)),
+            (
+                "cached".into(),
+                Value::Bool(outcome != JobOutcome::Simulated),
+            ),
+            ("memo_hits".into(), json_num(self.memo_hits)),
+            ("disk_hits".into(), json_num(self.disk_hits)),
+            (
+                "elapsed_ms".into(),
+                json_num(self.started.elapsed().as_millis()),
+            ),
+        ];
+        if let Some(eta) = event.kind.eta_nanos() {
+            map.push(("eta_ms".into(), json_num(eta / 1_000_000)));
+        }
+        sse_frame("progress", &to_json(&Value::Map(map)))
     }
-}
-
-/// `GET /events`: stream every live telemetry event on the daemon as SSE
-/// until the client hangs up, shutdown begins, or `?limit=N` is reached.
-/// Idle periods emit SSE keep-alive comments so a dead client is noticed
-/// even when no runs are active.
-fn firehose(state: &Arc<ServerState>, request: &Request, out: &mut TcpStream) -> StreamOutcome {
-    let limit = match request.query_param("limit") {
-        None => u64::MAX,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                return StreamOutcome::Plain(Response::error(
-                    400,
-                    "'limit' must be a positive integer",
-                ));
-            }
-        },
-    };
-    let rec = &state.recorder;
-    let sub = rec.bus().subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let mut writer = match ChunkedWriter::begin(out, 200, "text/event-stream", &[]) {
-        Ok(writer) => writer,
-        Err(_) => {
-            rec.counter_add("serve.write_failures", 1);
-            return StreamOutcome::Streamed(200);
-        }
-    };
-    let mut sent = 0u64;
-    let mut last_activity = Instant::now();
-    while sent < limit {
-        if state.shutdown.load(Ordering::SeqCst) || signal::requested() {
-            break;
-        }
-        match sub.recv_timeout(Duration::from_millis(250)) {
-            Some(event) => {
-                let frame = sse_frame(event.kind.label(), &event.to_json());
-                if writer.write_chunk(frame.as_bytes()).is_err() {
-                    rec.counter_add("serve.write_failures", 1);
-                    return StreamOutcome::Streamed(200);
-                }
-                sent += 1;
-                last_activity = Instant::now();
-            }
-            None => {
-                // Quiet bus: send an SSE comment every ~2 s so a
-                // hung-up client surfaces as a write error instead of a
-                // subscription leak.
-                if last_activity.elapsed() >= Duration::from_secs(2) {
-                    if writer.write_chunk(b": keep-alive\n\n").is_err() {
-                        rec.counter_add("serve.write_failures", 1);
-                        return StreamOutcome::Streamed(200);
-                    }
-                    last_activity = Instant::now();
-                }
-            }
-        }
-    }
-    let _ = writer.finish();
-    StreamOutcome::Streamed(200)
 }
 
 #[cfg(test)]
@@ -1577,6 +1444,8 @@ mod tests {
 
         let missing = request(addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404 "), "{missing}");
+        let events = request(addr, "GET /events HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(events.starts_with("HTTP/1.1 404 "), "{events}");
         let bad_method = request(addr, "DELETE /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(bad_method.starts_with("HTTP/1.1 405 "), "{bad_method}");
         assert!(bad_method.contains("Allow: GET"), "{bad_method}");
@@ -1604,6 +1473,9 @@ mod tests {
             ("{\"deadline_ms\":1}", "deadline_ms"),
             // `--jobs` is the one way to set the worker count.
             ("{\"jobs\":2}", "jobs"),
+            // A run's scale is `quick` or the default, as in batch mode.
+            ("{\"instructions\":1000}", "instructions"),
+            ("{\"warmup\":10}", "warmup"),
         ] {
             let unknown = request(
                 addr,

@@ -538,6 +538,8 @@ fn router_serves_local_endpoints_tunnels_sse_and_aggregates_metrics() {
     assert_eq!(status, 400);
     let (status, _) = router.get("/nope");
     assert_eq!(status, 404);
+    let (status, _) = router.get("/events");
+    assert_eq!(status, 404, "the router tunnels only run streams");
     let (status, _, _) = router.request("DELETE", "/metrics", None);
     assert_eq!(status, 405);
 

@@ -213,6 +213,44 @@ fn parse_sse(body: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// A run stream carries only the run's feed: its `start` frame, phase
+/// transitions, per-job progress and the terminal `report`; and the
+/// `start` frame carries no ETA hint.
+fn assert_feed_frames_only(events: &[(String, String)]) {
+    for (event, data) in events {
+        assert!(
+            matches!(
+                event.as_str(),
+                "start" | "phase_enter" | "phase_exit" | "progress" | "report"
+            ),
+            "unexpected '{event}' frame: {data}"
+        );
+    }
+    let start: Value = serde_json::from_str(&events[0].1).expect("start data is JSON");
+    assert!(start.field("eta_hint_ms").is_err(), "{start:?}");
+}
+
+/// The last `progress` frame's hit counts equal the report's engine
+/// deltas: the frames count the outcomes of the run's own jobs.
+fn assert_hits_match_the_report(events: &[(String, String)], engine: &Value) {
+    let (_, last_progress) = events
+        .iter()
+        .rev()
+        .find(|(e, _)| e == "progress")
+        .expect("at least one progress event");
+    let progress: Value = serde_json::from_str(last_progress).expect("progress data is JSON");
+    for (frame, delta) in [
+        ("memo_hits", "memo_hits_delta"),
+        ("disk_hits", "disk_hits_delta"),
+    ] {
+        assert_eq!(
+            num_field(&progress, frame),
+            num_field(engine, delta),
+            "{frame} of {last_progress} against {engine:?}"
+        );
+    }
+}
+
 #[test]
 fn streamed_run_emits_ordered_events_then_the_report() {
     let daemon = Daemon::spawn(&[]);
@@ -242,6 +280,7 @@ fn streamed_run_emits_ordered_events_then_the_report() {
     assert_eq!(str_field(&start, "experiment"), "table1");
     let run_id = num_field(&start, "run");
     assert!(run_id > 0, "run ids start at 1");
+    assert_feed_frames_only(&events);
     let (last_event, last_data) = events.last().unwrap();
     assert_eq!(last_event, "report", "stream must end with the report");
     assert_eq!(
@@ -279,11 +318,17 @@ fn streamed_run_emits_ordered_events_then_the_report() {
     let total = num_field(&progress, "total");
     assert!(completed <= total && total > 0, "{progress_data}");
     assert!(progress.field("elapsed_ms").is_ok(), "{progress_data}");
-    assert!(progress.field("memo_hits").is_ok(), "{progress_data}");
+
+    // Every job of this repeat is a memo hit, and the progress frames
+    // count them from the jobs' own outcomes: the last one agrees with
+    // the report's engine deltas.
+    let terminal: Value = serde_json::from_str(last_data).expect("report data is JSON");
+    let engine = terminal.field("engine").expect("engine deltas");
+    assert_eq!(num_field(engine, "memo_hits_delta"), 43, "{engine:?}");
+    assert_hits_match_the_report(&events, engine);
 
     // The terminal payload is the same structured body the non-streaming
     // endpoint answers (wall clock aside).
-    let terminal: Value = serde_json::from_str(last_data).expect("report data is JSON");
     assert_eq!(str_field(&terminal, "experiment"), "table1");
     assert_eq!(
         serde_json::to_string(terminal.field("report").expect("report field"))
@@ -352,6 +397,8 @@ fn streamed_run_delivers_progress_while_it_executes() {
     let engine = terminal.field("engine").expect("engine deltas");
     assert_eq!(num_field(engine, "simulated_jobs_delta"), 43, "{engine:?}");
     let wall_ms = num_field(&terminal, "wall_ms");
+    assert_feed_frames_only(&events);
+    assert_hits_match_the_report(&events, engine);
 
     let first_progress = first_progress.expect("a progress frame arrived");
     let lead = report.expect("the report frame arrived") - first_progress;
@@ -366,7 +413,7 @@ fn streamed_run_delivers_progress_while_it_executes() {
 }
 
 #[test]
-fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
+fn run_streams_clean_up_on_disconnect_and_events_is_gone() {
     let daemon = Daemon::spawn(&[]);
 
     // Baseline: no subscribers.
@@ -408,38 +455,21 @@ fn event_streams_clean_up_on_disconnect_and_firehose_honors_limit() {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    // Firehose: `?limit=N` closes the stream after N events. Subscribe
-    // first, then trigger a run so events actually flow: a run whose
-    // cells are already memoized can finish before a racing subscription
-    // registers, and the firehose would then wait forever.
-    let addr = daemon.addr.clone();
-    let firehose = std::thread::spawn(move || stream_request(&addr, "GET", "/events?limit=3", ""));
-    let start = Instant::now();
-    loop {
-        let (_, health) = daemon.get("/healthz");
-        let health: Value = serde_json::from_str(&health).expect("healthz is JSON");
-        if num_field(&health, "event_subscribers") >= 1 {
-            break;
-        }
+    // Run streams are the only event streams: the daemon-wide firehose
+    // is gone, with its `?limit=`. Only the status line is read, so a
+    // stream that never ends cannot hang the test.
+    for path in ["/events", "/events?limit=3"] {
+        let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: repro\r\n\r\n").expect("send request");
+        let mut status_line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut status_line)
+            .expect("read status line");
         assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "firehose never subscribed: {health:?}"
+            status_line.starts_with("HTTP/1.1 404 "),
+            "{path}: {status_line}"
         );
-        std::thread::sleep(Duration::from_millis(20));
     }
-    let (status, body) = daemon.post("/run/table1", "{\"quick\":true}");
-    assert_eq!(status, 200, "{body}");
-    let (status, body) = firehose.join().expect("firehose reader");
-    assert_eq!(status, 200, "{body}");
-    let events: Vec<_> = parse_sse(&body);
-    assert_eq!(events.len(), 3, "firehose must close after limit: {body}");
-    for (_, data) in &events {
-        let parsed: Value = serde_json::from_str(data).expect("firehose data is JSON");
-        assert!(parsed.field("seq").is_ok(), "{data}");
-    }
-
-    let (status, body) = stream_request(&daemon.addr, "GET", "/events?limit=zero", "");
-    assert_eq!(status, 400, "{body}");
 
     let code = daemon.sigterm_and_wait(Duration::from_secs(30));
     assert_eq!(code, 0);

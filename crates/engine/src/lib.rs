@@ -82,7 +82,7 @@ pub use fingerprint::{Fingerprint, SCHEMA_VERSION};
 pub use stats::EngineStats;
 
 use horizon_core::campaign::{Campaign, CampaignExecutor, CampaignResult, Measurement};
-use horizon_telemetry::Recorder;
+use horizon_telemetry::{JobOutcome, Recorder};
 use horizon_trace::WorkloadProfile;
 use horizon_uarch::MachineConfig;
 use std::collections::HashMap;
@@ -303,17 +303,33 @@ impl Engine {
                 .collect()
         };
         let memoized: Vec<bool> = resolved.iter().map(Option::is_some).collect();
+        // Counts one resolved job of this call and reports it, with its
+        // outcome and the call's start, on the live bus and to the
+        // progress callback.
         let completed = AtomicUsize::new(0);
         let total = jobs.len();
+        let progress = |profile: &WorkloadProfile, machine: &MachineConfig, outcome| {
+            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+            rec.publish_progress(done as u64, total as u64, outcome, call_start);
+            if let Some(callback) = &self.progress {
+                callback(&ProgressEvent {
+                    completed: done,
+                    total,
+                    workload: profile.name().to_string(),
+                    machine: machine.name.clone(),
+                    cached: outcome != JobOutcome::Simulated,
+                });
+            }
+        };
         let (mut memo_hits, mut disk_hits) = (0u64, 0u64);
         for (id, fp) in fingerprints.iter().enumerate() {
             let outcome = if memoized[id] {
                 memo_hits += 1;
-                "memo"
+                JobOutcome::Memo
             } else if let Some(m) = self.disk.as_ref().and_then(|disk| disk.load(fp)) {
                 resolved[id] = Some(m);
                 disk_hits += 1;
-                "disk"
+                JobOutcome::Disk
             } else {
                 continue;
             };
@@ -321,9 +337,9 @@ impl Engine {
             let mut span = rec.span("engine.job");
             span.record("workload", profiles[w].name());
             span.record("machine", machines[mach].name.as_str());
-            span.record("outcome", outcome);
+            span.record("outcome", outcome.label());
             drop(span);
-            self.emit_progress(&completed, total, &profiles[w], &machines[mach], true);
+            progress(&profiles[w], &machines[mach], outcome);
         }
         drop(probe_span);
 
@@ -403,7 +419,7 @@ impl Engine {
                         job_span.set_parent(campaign_id);
                         job_span.record("workload", profiles[jw].name());
                         job_span.record("machine", machines[jm].name.as_str());
-                        job_span.record("outcome", "simulated");
+                        job_span.record("outcome", JobOutcome::Simulated.label());
                         job_span.record("instructions", campaign.instructions + campaign.warmup);
                         job_span.record("est_cost", *cost);
                         job_span.record("fleet", ids.len());
@@ -413,7 +429,7 @@ impl Engine {
                         slots[id]
                             .set((measurement, wall_nanos))
                             .expect("each job is simulated once");
-                        self.emit_progress(&completed, total, &profiles[jw], &machines[jm], false);
+                        progress(&profiles[jw], &machines[jm], JobOutcome::Simulated);
                     }
                 }
             };
@@ -491,28 +507,6 @@ impl Engine {
             call_start.elapsed().as_nanos() as u64,
         );
         CampaignResult::from_grid(workload_names, machine_names, grid)
-    }
-
-    fn emit_progress(
-        &self,
-        completed: &AtomicUsize,
-        total: usize,
-        profile: &WorkloadProfile,
-        machine: &MachineConfig,
-        cached: bool,
-    ) {
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.recorder
-            .publish_progress(done as u64, total as u64, cached);
-        if let Some(callback) = &self.progress {
-            callback(&ProgressEvent {
-                completed: done,
-                total,
-                workload: profile.name().to_string(),
-                machine: machine.name.clone(),
-                cached,
-            });
-        }
     }
 }
 

@@ -393,6 +393,69 @@ fn progress_callback_sees_every_job_exactly_once() {
     );
 }
 
+/// Every job reaches the live bus as a progress event that names its
+/// outcome and is timed from its own campaign's start, so the second
+/// campaign's ETA depends only on its own elapsed time and counts, never
+/// on the time the run spent before it.
+#[test]
+fn progress_events_name_outcomes_and_time_their_own_campaign() {
+    use horizon_telemetry::{EventKind, JobOutcome, Recorder, RunScope};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    let campaign = campaign();
+    let profiles = profiles();
+    let machines = machines();
+    let recorder = Arc::new(Recorder::new());
+    let engine = Engine::new()
+        .with_jobs(1)
+        .with_recorder(Arc::clone(&recorder));
+    let run = horizon_telemetry::next_run_id();
+    let sub = recorder.bus().subscribe_run(1024, run);
+    let _scope = RunScope::enter(run);
+
+    engine.measure_profiles(&campaign, &profiles, &machines);
+    // Time the run spends between its campaigns, which the second
+    // campaign's ETA must not count.
+    std::thread::sleep(Duration::from_millis(300));
+    let second_start = Instant::now();
+    engine.measure_profiles(&campaign, &profiles, &machines);
+    let second_wall = second_start.elapsed().as_nanos() as u64;
+
+    let progress: Vec<EventKind> = std::iter::from_fn(|| sub.try_recv())
+        .map(|event| event.kind)
+        .filter(|kind| matches!(kind, EventKind::Progress { .. }))
+        .collect();
+    let jobs = profiles.len() * machines.len();
+    assert_eq!(progress.len(), 2 * jobs);
+    let (first, second) = progress.split_at(jobs);
+    for (events, expected) in [(first, JobOutcome::Simulated), (second, JobOutcome::Memo)] {
+        for (k, kind) in events.iter().enumerate() {
+            let EventKind::Progress {
+                completed,
+                total,
+                outcome,
+                campaign_nanos,
+            } = *kind
+            else {
+                unreachable!("filtered to progress events");
+            };
+            assert_eq!((completed, total), (k as u64 + 1, jobs as u64));
+            assert_eq!(outcome, expected);
+            let eta = (completed < total).then(|| campaign_nanos * (total - completed) / completed);
+            assert_eq!(kind.eta_nanos(), eta);
+        }
+    }
+    for kind in second {
+        let EventKind::Progress { campaign_nanos, .. } = *kind else {
+            unreachable!("filtered to progress events");
+        };
+        assert!(
+            campaign_nanos <= second_wall,
+            "the second campaign's clock read {campaign_nanos} ns of its {second_wall} ns"
+        );
+    }
+}
+
 #[test]
 fn one_worker_simulates_on_the_calling_thread() {
     use std::sync::{Arc, Mutex};

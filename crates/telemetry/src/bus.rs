@@ -1,11 +1,14 @@
-//! Live event bus: bounded, subscriber-based fan-out of telemetry events.
+//! Live event bus: bounded, per-run fan-out of phase and progress events.
 //!
 //! The recorder's snapshot/OTLP/Prometheus sinks are *after the fact*;
-//! the bus makes the same signals observable *while a run executes*. A
+//! the bus makes a run's progress observable *while it executes*. A
 //! [`crate::Recorder`] owns one [`EventBus`] and publishes schema-versioned
-//! [`TelemetryEvent`]s for span start/end, counter deltas, phase
-//! transitions and job progress. Consumers attach with
-//! [`EventBus::subscribe`] and read from a private bounded ring buffer.
+//! [`TelemetryEvent`]s for exactly what the two live renderers print —
+//! `repro --progress` and the `repro serve` SSE run stream: the run's
+//! phase transitions and one progress event per resolved job, naming
+//! where its result came from. Spans and counters never reach the bus.
+//! A consumer attaches to one run with [`EventBus::subscribe_run`] and
+//! reads from a private bounded ring buffer.
 //!
 //! # Backpressure
 //!
@@ -21,16 +24,18 @@
 //!
 //! Publishing begins with one relaxed atomic load
 //! ([`EventBus::has_subscribers`]); with no subscriber attached no event
-//! is even constructed, so instrumented hot paths (the engine job loop,
-//! the simulator counter flush) pay nothing beyond that load.
+//! is even constructed, so the instrumented paths (phase spans, the
+//! engine's per-job progress) pay nothing beyond that load.
 //!
 //! # Run attribution
 //!
-//! Every event carries a `run` label so concurrent serve runs interleaved
-//! on one recorder stay attributable. Run ids come from [`next_run_id`]
-//! and are installed per thread with [`RunScope`]; work spawned onto other
-//! threads re-enters the scope there (the engine does this for its
-//! workers). Events published outside any scope carry run `0`.
+//! Every event carries a `run` label, and a subscription receives only
+//! the events of its own run, so concurrent serve runs interleaved on one
+//! recorder never see each other's events. Run ids come from
+//! [`next_run_id`] and are installed per thread with [`RunScope`]; work
+//! spawned onto other threads re-enters the scope there (the engine does
+//! this for its workers). Events published outside any scope carry run
+//! `0`.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -44,42 +49,36 @@ use serde::Value;
 /// [`TelemetryEvent::to_json`].
 pub const EVENT_SCHEMA: u32 = 1;
 
-/// Default ring capacity for [`EventBus::subscribe`]: deep enough that a
-/// full quick-scale campaign (phases + per-job progress + counter flushes)
-/// fits without drops even if the consumer reads late.
+/// Default ring capacity for [`EventBus::subscribe_run`]: deep enough
+/// that a full-scale run's phase and per-job progress events fit without
+/// drops even if the consumer reads late.
 pub const DEFAULT_SUBSCRIBER_CAPACITY: usize = 8192;
+
+/// Where a resolved job's result came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobOutcome {
+    /// The engine's in-memory memo table.
+    Memo,
+    /// The on-disk cache.
+    Disk,
+    /// A fresh simulation.
+    Simulated,
+}
+
+impl JobOutcome {
+    /// The outcome's name: `memo`, `disk` or `simulated`.
+    pub fn label(self) -> &'static str {
+        match self {
+            JobOutcome::Memo => "memo",
+            JobOutcome::Disk => "disk",
+            JobOutcome::Simulated => "simulated",
+        }
+    }
+}
 
 /// What happened; the payload of a [`TelemetryEvent`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A span opened (`id` is recorder-unique, `parent` the enclosing
-    /// span on the opening thread).
-    SpanStart {
-        /// Span id.
-        id: u64,
-        /// Enclosing span id, if any.
-        parent: Option<u64>,
-        /// Static span name.
-        name: &'static str,
-    },
-    /// A span closed.
-    SpanEnd {
-        /// Span id.
-        id: u64,
-        /// Static span name.
-        name: &'static str,
-        /// Wall time in nanoseconds.
-        duration_nanos: u64,
-    },
-    /// A named counter moved by `delta` to `total`.
-    CounterDelta {
-        /// Counter name.
-        name: &'static str,
-        /// Amount added.
-        delta: u64,
-        /// Value after the add.
-        total: u64,
-    },
     /// A pipeline phase began (phase spans only — see
     /// [`crate::Recorder::phase_span`]).
     PhaseEnter {
@@ -93,14 +92,16 @@ pub enum EventKind {
         /// Wall time in nanoseconds.
         duration_nanos: u64,
     },
-    /// One campaign job resolved (from cache or simulation).
+    /// One campaign job resolved.
     Progress {
-        /// Jobs resolved so far, including this one.
+        /// Jobs of the campaign resolved so far, including this one.
         completed: u64,
         /// Unique jobs in the campaign.
         total: u64,
-        /// Served from memo/disk cache rather than simulated.
-        cached: bool,
+        /// Where this job's result came from.
+        outcome: JobOutcome,
+        /// Nanoseconds since the campaign started.
+        campaign_nanos: u64,
     },
 }
 
@@ -108,12 +109,28 @@ impl EventKind {
     /// The `event` discriminator used in the JSON form.
     pub fn label(&self) -> &'static str {
         match self {
-            EventKind::SpanStart { .. } => "span_start",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::CounterDelta { .. } => "counter",
             EventKind::PhaseEnter { .. } => "phase_enter",
             EventKind::PhaseExit { .. } => "phase_exit",
             EventKind::Progress { .. } => "progress",
+        }
+    }
+
+    /// For a progress event, the nanoseconds its campaign still needs:
+    /// the campaign's own elapsed time scaled by `(total − completed) /
+    /// completed`. `None` for phase events and once no job is left. Both
+    /// live renderers print this estimate, so earlier campaigns of a run
+    /// never inflate a later campaign's ETA.
+    pub fn eta_nanos(&self) -> Option<u64> {
+        match *self {
+            EventKind::Progress {
+                completed,
+                total,
+                campaign_nanos,
+                ..
+            } if completed > 0 && total > completed => {
+                Some(campaign_nanos.saturating_mul(total - completed) / completed)
+            }
+            _ => None,
         }
     }
 }
@@ -139,8 +156,8 @@ fn num(v: impl ToString) -> Value {
 impl TelemetryEvent {
     /// Renders the event as one deterministic JSON object:
     /// `{"schema":…,"seq":…,"at_ns":…,"run":…,"event":…,<payload fields>}`.
-    /// This is the wire form of the SSE stream and the `GET /events`
-    /// firehose in `repro serve`.
+    /// This is the wire form of the `phase_enter`/`phase_exit` frames of
+    /// the `repro serve` SSE run stream.
     pub fn to_json(&self) -> String {
         let mut map = vec![
             ("schema".into(), num(EVENT_SCHEMA)),
@@ -150,25 +167,6 @@ impl TelemetryEvent {
             ("event".into(), Value::Str(self.kind.label().into())),
         ];
         match &self.kind {
-            EventKind::SpanStart { id, parent, name } => {
-                map.push(("id".into(), num(id)));
-                map.push(("parent".into(), parent.map_or(Value::Null, num)));
-                map.push(("name".into(), Value::Str((*name).into())));
-            }
-            EventKind::SpanEnd {
-                id,
-                name,
-                duration_nanos,
-            } => {
-                map.push(("id".into(), num(id)));
-                map.push(("name".into(), Value::Str((*name).into())));
-                map.push(("dur_ns".into(), num(duration_nanos)));
-            }
-            EventKind::CounterDelta { name, delta, total } => {
-                map.push(("name".into(), Value::Str((*name).into())));
-                map.push(("delta".into(), num(delta)));
-                map.push(("total".into(), num(total)));
-            }
             EventKind::PhaseEnter { name } => {
                 map.push(("name".into(), Value::Str((*name).into())));
             }
@@ -182,11 +180,13 @@ impl TelemetryEvent {
             EventKind::Progress {
                 completed,
                 total,
-                cached,
+                outcome,
+                campaign_nanos,
             } => {
                 map.push(("completed".into(), num(completed)));
                 map.push(("total".into(), num(total)));
-                map.push(("cached".into(), Value::Bool(*cached)));
+                map.push(("outcome".into(), Value::Str(outcome.label().into())));
+                map.push(("campaign_ns".into(), num(campaign_nanos)));
             }
         }
         serde_json::to_string(&Value::Map(map)).expect("event value tree serializes")
@@ -210,8 +210,8 @@ struct SubShared {
     queue: Mutex<SubQueue>,
     ready: Condvar,
     capacity: usize,
-    /// Only events with this run label are delivered, when set.
-    run_filter: Option<u64>,
+    /// Only events with this run label are delivered.
+    run: u64,
     closed: AtomicBool,
 }
 
@@ -264,24 +264,15 @@ impl EventBus {
     }
 
     /// Attaches a subscriber with a ring of `capacity` events (min 1),
-    /// receiving every event published from now on.
-    pub fn subscribe(&self, capacity: usize) -> Subscription {
-        self.subscribe_inner(capacity, None)
-    }
-
-    /// Like [`EventBus::subscribe`], but delivers only events carrying the
-    /// given run label — the per-run SSE stream's filter, applied at
-    /// publish time so unrelated runs cannot evict this run's events.
+    /// receiving every event of run `run` published from now on. The
+    /// filter applies at publish time, so other runs cannot evict this
+    /// run's events.
     pub fn subscribe_run(&self, capacity: usize, run: u64) -> Subscription {
-        self.subscribe_inner(capacity, Some(run))
-    }
-
-    fn subscribe_inner(&self, capacity: usize, run_filter: Option<u64>) -> Subscription {
         let shared = Arc::new(SubShared {
             queue: Mutex::new(SubQueue::default()),
             ready: Condvar::new(),
             capacity: capacity.max(1),
-            run_filter,
+            run,
             closed: AtomicBool::new(false),
         });
         let mut subs = lock(&self.inner.subscribers);
@@ -294,8 +285,8 @@ impl EventBus {
         }
     }
 
-    /// Publishes one event to every live subscriber. Cheap no-op without
-    /// subscribers; never blocks on a slow consumer (drop-oldest).
+    /// Publishes one event to every live subscriber of `run`. Cheap no-op
+    /// without subscribers; never blocks on a slow consumer (drop-oldest).
     pub fn publish(&self, run: u64, at_nanos: u64, kind: EventKind) {
         if !self.has_subscribers() {
             return;
@@ -308,7 +299,7 @@ impl EventBus {
         };
         let subs = lock(&self.inner.subscribers);
         for sub in subs.iter() {
-            if sub.run_filter.is_some_and(|f| f != run) {
+            if sub.run != run {
                 continue;
             }
             let mut queue = lock(&sub.queue);
@@ -433,16 +424,21 @@ impl Drop for RunScope {
 mod tests {
     use super::*;
 
-    fn counter(name: &'static str, delta: u64, total: u64) -> EventKind {
-        EventKind::CounterDelta { name, delta, total }
+    fn progress(completed: u64) -> EventKind {
+        EventKind::Progress {
+            completed,
+            total: 100,
+            outcome: JobOutcome::Simulated,
+            campaign_nanos: 0,
+        }
     }
 
     #[test]
     fn events_arrive_in_publication_order_with_monotonic_seq() {
         let bus = EventBus::new();
-        let sub = bus.subscribe(16);
+        let sub = bus.subscribe_run(16, 7);
         for i in 0..5 {
-            bus.publish(7, i * 10, counter("jobs", 1, i + 1));
+            bus.publish(7, i * 10, progress(i + 1));
         }
         let mut last_seq = 0;
         for i in 0..5u64 {
@@ -451,6 +447,7 @@ mod tests {
             last_seq = event.seq;
             assert_eq!(event.run, 7);
             assert_eq!(event.at_nanos, i * 10);
+            assert_eq!(event.kind, progress(i + 1));
         }
         assert!(sub.try_recv().is_none());
         assert_eq!(sub.dropped(), 0);
@@ -459,9 +456,9 @@ mod tests {
     #[test]
     fn full_ring_drops_oldest_and_counts() {
         let bus = EventBus::new();
-        let sub = bus.subscribe(3);
+        let sub = bus.subscribe_run(3, 1);
         for i in 1..=10u64 {
-            bus.publish(0, i, counter("c", 1, i));
+            bus.publish(1, i, progress(i));
         }
         assert_eq!(sub.dropped(), 7);
         assert_eq!(bus.dropped(), 7);
@@ -476,12 +473,12 @@ mod tests {
     fn no_subscriber_means_no_sequence_movement() {
         let bus = EventBus::new();
         assert!(!bus.has_subscribers());
-        bus.publish(0, 0, counter("c", 1, 1));
+        bus.publish(1, 0, progress(1));
         // The fast path bailed before allocating a sequence number.
         assert_eq!(bus.inner.seq.load(Ordering::SeqCst), 0);
-        let sub = bus.subscribe(4);
+        let sub = bus.subscribe_run(4, 1);
         assert!(bus.has_subscribers());
-        bus.publish(0, 0, counter("c", 1, 2));
+        bus.publish(1, 0, progress(2));
         assert_eq!(sub.try_recv().unwrap().seq, 1);
         drop(sub);
         assert!(!bus.has_subscribers(), "drop detaches");
@@ -490,30 +487,32 @@ mod tests {
     #[test]
     fn run_filter_delivers_only_matching_events() {
         let bus = EventBus::new();
-        let all = bus.subscribe(16);
-        let only_two = bus.subscribe_run(16, 2);
-        bus.publish(1, 0, counter("a", 1, 1));
-        bus.publish(2, 0, counter("b", 1, 1));
-        bus.publish(3, 0, counter("c", 1, 1));
-        bus.publish(2, 0, counter("d", 1, 2));
-        let all_runs: Vec<u64> = std::iter::from_fn(|| all.try_recv())
-            .map(|e| e.run)
-            .collect();
-        assert_eq!(all_runs, vec![1, 2, 3, 2]);
-        let filtered: Vec<u64> = std::iter::from_fn(|| only_two.try_recv())
-            .map(|e| e.run)
-            .collect();
-        assert_eq!(filtered, vec![2, 2]);
+        let two = bus.subscribe_run(16, 2);
+        let three = bus.subscribe_run(16, 3);
+        bus.publish(1, 0, EventKind::PhaseEnter { name: "a" });
+        bus.publish(2, 0, EventKind::PhaseEnter { name: "b" });
+        bus.publish(3, 0, EventKind::PhaseEnter { name: "c" });
+        bus.publish(2, 0, EventKind::PhaseEnter { name: "d" });
+        let names = |sub: &Subscription| -> Vec<&str> {
+            std::iter::from_fn(|| sub.try_recv())
+                .map(|e| match e.kind {
+                    EventKind::PhaseEnter { name } => name,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(names(&two), vec!["b", "d"]);
+        assert_eq!(names(&three), vec!["c"]);
     }
 
     #[test]
     fn recv_timeout_wakes_on_publish_and_on_close() {
         let bus = EventBus::new();
-        let sub = Arc::new(bus.subscribe(4));
+        let sub = Arc::new(bus.subscribe_run(4, 9));
         let waiter = Arc::clone(&sub);
         let handle = std::thread::spawn(move || waiter.recv_timeout(Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(50));
-        bus.publish(9, 1, counter("c", 1, 1));
+        bus.publish(9, 1, progress(1));
         let got = handle.join().expect("waiter thread");
         assert_eq!(got.expect("event delivered").run, 9);
 
@@ -568,13 +567,32 @@ mod tests {
             kind: EventKind::Progress {
                 completed: 2,
                 total: 8,
-                cached: true,
+                outcome: JobOutcome::Disk,
+                campaign_nanos: 500,
             },
         };
         let json = end.to_json();
         assert!(json.contains("\"event\":\"progress\""), "{json}");
         assert!(json.contains("\"completed\":2"), "{json}");
-        assert!(json.contains("\"cached\":true"), "{json}");
+        assert!(json.contains("\"outcome\":\"disk\""), "{json}");
+        assert!(json.contains("\"campaign_ns\":500"), "{json}");
+    }
+
+    #[test]
+    fn eta_scales_the_campaigns_own_elapsed_time() {
+        let at = |completed, total, campaign_nanos| EventKind::Progress {
+            completed,
+            total,
+            outcome: JobOutcome::Memo,
+            campaign_nanos,
+        };
+        // A quarter done in 100 ns: three quarters left at the same rate.
+        assert_eq!(at(1, 4, 100).eta_nanos(), Some(300));
+        assert_eq!(at(3, 4, 300).eta_nanos(), Some(100));
+        assert_eq!(at(4, 4, 400).eta_nanos(), None, "nothing left");
+        assert_eq!(at(0, 4, 0).eta_nanos(), None, "no rate yet");
+        let phase = EventKind::PhaseEnter { name: "p" };
+        assert_eq!(phase.eta_nanos(), None);
     }
 
     #[test]
@@ -582,10 +600,10 @@ mod tests {
         // A subscriber that never reads: 10k publishes must complete
         // promptly (bounded ring, drop-oldest), not wedge the hot path.
         let bus = EventBus::new();
-        let sub = bus.subscribe(8);
+        let sub = bus.subscribe_run(8, 1);
         let start = Instant::now();
         for i in 0..10_000u64 {
-            bus.publish(1, i, counter("hot", 1, i + 1));
+            bus.publish(1, i, progress(i + 1));
         }
         assert!(
             start.elapsed() < Duration::from_secs(5),

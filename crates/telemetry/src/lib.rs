@@ -34,13 +34,14 @@
 //!
 //! And one reads it *live*: every recorder owns an [`EventBus`]
 //! ([`Recorder::bus`]) publishing schema-versioned [`TelemetryEvent`]s
-//! for span start/end, counter deltas, phase transitions
-//! ([`Recorder::phase_span`]) and job progress while a run executes —
-//! the feed behind `repro --progress` and the `repro serve` SSE stream.
+//! for a run's phase transitions ([`Recorder::phase_span`]) and its job
+//! progress, each job named with its [`JobOutcome`], while the run
+//! executes — the feed behind `repro --progress` and the `repro serve`
+//! SSE run stream. Other spans and counters never reach the bus.
 //! Publishing costs one atomic load when nobody subscribes, and a slow
 //! subscriber only ever loses its own oldest events (bounded ring,
-//! drop-oldest), never blocks the hot path. Concurrent runs are told
-//! apart by a run id label ([`RunScope`], [`next_run_id`]).
+//! drop-oldest), never blocks the hot path. Each subscription follows
+//! one run, told apart by a run id label ([`RunScope`], [`next_run_id`]).
 //!
 //! # Global recorder
 //!
@@ -81,8 +82,8 @@ mod recorder;
 mod snapshot;
 
 pub use bus::{
-    current_run_id, next_run_id, EventBus, EventKind, RunScope, Subscription, TelemetryEvent,
-    DEFAULT_SUBSCRIBER_CAPACITY, EVENT_SCHEMA,
+    current_run_id, next_run_id, EventBus, EventKind, JobOutcome, RunScope, Subscription,
+    TelemetryEvent, DEFAULT_SUBSCRIBER_CAPACITY, EVENT_SCHEMA,
 };
 pub use histogram::Histogram;
 pub use otlp::write_otlp;

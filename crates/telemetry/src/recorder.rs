@@ -7,14 +7,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::bus::{current_run_id, EventBus, EventKind, RunScope};
+use crate::bus::{current_run_id, EventBus, EventKind, JobOutcome, RunScope};
 use crate::histogram::Histogram;
 use crate::snapshot::{SpanRecord, TelemetrySnapshot};
 
 /// Counter name under which bus ring-overflow drops surface in snapshots,
 /// [`Recorder::counter_value`] and `/metrics`. It is synthesized from the
-/// bus's own atomic — publishing it through `counter_add` would recurse
-/// (the add would itself emit a bus event).
+/// bus's own atomic when read, so publishing never takes the state lock.
 pub const EVENTS_DROPPED_COUNTER: &str = "telemetry.events_dropped";
 
 /// A structured field value attached to a span.
@@ -186,9 +185,8 @@ impl Recorder {
     }
 
     /// Opens a *phase* span: identical to [`Recorder::span`], but its open
-    /// and close additionally publish `phase_enter`/`phase_exit` events on
-    /// the live bus, so streaming consumers see pipeline transitions
-    /// without wading through every leaf span.
+    /// and close also publish `phase_enter`/`phase_exit` events on the live
+    /// bus. Other spans never reach the bus.
     pub fn phase_span(self: &Arc<Self>, name: &'static str) -> Span {
         self.open_span(name, true)
     }
@@ -210,13 +208,9 @@ impl Recorder {
         });
         let run = current_run_id();
         let start_nanos = self.epoch.elapsed().as_nanos() as u64;
-        if self.bus.has_subscribers() {
+        if phase && self.bus.has_subscribers() {
             self.bus
-                .publish(run, start_nanos, EventKind::SpanStart { id, parent, name });
-            if phase {
-                self.bus
-                    .publish(run, start_nanos, EventKind::PhaseEnter { name });
-            }
+                .publish(run, start_nanos, EventKind::PhaseEnter { name });
         }
         Span {
             inner: Some(ActiveSpan {
@@ -233,15 +227,23 @@ impl Recorder {
         }
     }
 
-    /// The live event bus this recorder publishes into. Subscribe to watch
-    /// spans, counters, phases and progress as they happen.
+    /// The live event bus this recorder publishes into. Subscribe to a run
+    /// to watch its phases and job progress as they happen.
     pub fn bus(&self) -> &EventBus {
         &self.bus
     }
 
-    /// Publishes one job-progress event on the bus (no-op when disabled or
-    /// unobserved — costs one atomic load on the engine's per-job path).
-    pub fn publish_progress(&self, completed: u64, total: u64, cached: bool) {
+    /// Publishes one job-progress event on the bus: `completed` of `total`
+    /// jobs of a campaign that started at `campaign_start` have resolved,
+    /// the last with `outcome`. A no-op when disabled or unobserved, which
+    /// costs one atomic load on the engine's per-job path.
+    pub fn publish_progress(
+        &self,
+        completed: u64,
+        total: u64,
+        outcome: JobOutcome,
+        campaign_start: Instant,
+    ) {
         if !self.enabled || !self.bus.has_subscribers() {
             return;
         }
@@ -251,34 +253,23 @@ impl Recorder {
             EventKind::Progress {
                 completed,
                 total,
-                cached,
+                outcome,
+                campaign_nanos: campaign_start.elapsed().as_nanos() as u64,
             },
         );
     }
 
-    /// Adds `delta` to a named counter. With a bus subscriber attached, a
-    /// `counter` event carrying the delta and post-add total is published
-    /// (outside the state lock).
+    /// Adds `delta` to a named counter.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if !self.enabled {
             return;
         }
         let mut state = self.state.lock().expect("telemetry state");
-        let slot = state.counters.entry(name).or_insert(0);
-        *slot += delta;
-        let total = *slot;
+        *state.counters.entry(name).or_insert(0) += delta;
         if !state.runs.is_empty() {
             if let Some(tally) = state.runs.get_mut(&current_run_id()) {
                 *tally.entry(name).or_insert(0) += delta;
             }
-        }
-        drop(state);
-        if self.bus.has_subscribers() {
-            self.bus.publish(
-                current_run_id(),
-                self.epoch.elapsed().as_nanos() as u64,
-                EventKind::CounterDelta { name, delta, total },
-            );
         }
     }
 
@@ -473,27 +464,15 @@ impl Recorder {
                 state.dropped_spans += 1;
             }
         }
-        if self.bus.has_subscribers() {
-            let at_nanos = self.epoch.elapsed().as_nanos() as u64;
+        if span.phase && self.bus.has_subscribers() {
             self.bus.publish(
                 span.run,
-                at_nanos,
-                EventKind::SpanEnd {
-                    id: span.id,
+                self.epoch.elapsed().as_nanos() as u64,
+                EventKind::PhaseExit {
                     name: span.name,
                     duration_nanos,
                 },
             );
-            if span.phase {
-                self.bus.publish(
-                    span.run,
-                    at_nanos,
-                    EventKind::PhaseExit {
-                        name: span.name,
-                        duration_nanos,
-                    },
-                );
-            }
         }
     }
 }
@@ -760,30 +739,22 @@ mod tests {
     }
 
     #[test]
-    fn bus_sees_span_counter_and_phase_events_with_run_labels() {
-        use crate::bus::{EventKind, RunScope};
+    fn bus_sees_phase_and_progress_events_with_run_labels() {
+        use crate::bus::EventKind;
         let r = Arc::new(Recorder::new());
-        let sub = r.bus().subscribe(64);
+        let sub = r.bus().subscribe_run(64, 41);
         let _scope = RunScope::enter(41);
+        let campaign_start = Instant::now();
         {
             let _phase = r.phase_span("engine.simulate");
-            r.counter_add("engine.memo_hits", 2);
-            r.counter_add("engine.memo_hits", 3);
-            r.publish_progress(1, 8, true);
+            r.publish_progress(1, 8, JobOutcome::Memo, campaign_start);
+            r.publish_progress(2, 8, JobOutcome::Simulated, campaign_start);
         }
         let events: Vec<_> = std::iter::from_fn(|| sub.try_recv()).collect();
         let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
         assert_eq!(
             labels,
-            vec![
-                "span_start",
-                "phase_enter",
-                "counter",
-                "counter",
-                "progress",
-                "span_end",
-                "phase_exit"
-            ]
+            vec!["phase_enter", "progress", "progress", "phase_exit"]
         );
         assert!(
             events.iter().all(|e| e.run == 41),
@@ -794,13 +765,18 @@ mod tests {
             assert!(e.seq > last, "monotonic seq");
             last = e.seq;
         }
-        match &events[3].kind {
-            EventKind::CounterDelta { name, delta, total } => {
-                assert_eq!(*name, "engine.memo_hits");
-                assert_eq!(*delta, 3);
-                assert_eq!(*total, 5, "second delta carries the running total");
+        match events[2].kind {
+            EventKind::Progress {
+                completed,
+                total,
+                outcome,
+                campaign_nanos,
+            } => {
+                assert_eq!((completed, total), (2, 8));
+                assert_eq!(outcome, JobOutcome::Simulated);
+                assert!(campaign_nanos <= campaign_start.elapsed().as_nanos() as u64);
             }
-            other => panic!("expected counter event, got {other:?}"),
+            ref other => panic!("expected a progress event, got {other:?}"),
         }
         // The span record itself is stamped with the run too.
         let snap = r.snapshot();
@@ -808,23 +784,36 @@ mod tests {
     }
 
     #[test]
+    fn counters_and_plain_spans_publish_nothing() {
+        let r = Arc::new(Recorder::new());
+        let sub = r.bus().subscribe_run(64, 42);
+        let _scope = RunScope::enter(42);
+        {
+            let _span = r.span("engine.job");
+            r.counter_add("engine.memo_hits", 2);
+        }
+        assert!(sub.try_recv().is_none(), "nothing reached the bus");
+        assert_eq!(r.counter_value("engine.memo_hits"), 2);
+        assert_eq!(r.snapshot().spans_named("engine.job").len(), 1);
+    }
+
+    #[test]
     fn unobserved_recorder_publishes_nothing_and_disabled_stays_dark() {
         let r = Arc::new(Recorder::new());
+        let campaign_start = Instant::now();
         {
             let _s = r.phase_span("p");
-            r.counter_add("c", 1);
-            r.publish_progress(1, 2, false);
+            r.publish_progress(1, 2, JobOutcome::Simulated, campaign_start);
         }
         // Subscribe only now: nothing from before may appear.
-        let sub = r.bus().subscribe(8);
+        let sub = r.bus().subscribe_run(8, 0);
         assert!(sub.try_recv().is_none());
 
         let dark = Arc::new(Recorder::disabled());
-        let dark_sub = dark.bus().subscribe(8);
+        let dark_sub = dark.bus().subscribe_run(8, 0);
         {
             let _s = dark.phase_span("p");
-            dark.counter_add("c", 1);
-            dark.publish_progress(1, 2, false);
+            dark.publish_progress(1, 2, JobOutcome::Simulated, campaign_start);
         }
         assert!(dark_sub.try_recv().is_none(), "disabled recorder runs dark");
     }
@@ -832,9 +821,10 @@ mod tests {
     #[test]
     fn ring_overflow_surfaces_as_events_dropped_counter() {
         let r = Arc::new(Recorder::new());
-        let sub = r.bus().subscribe(2);
-        for _ in 0..10 {
-            r.counter_add("c", 1);
+        let sub = r.bus().subscribe_run(2, 0);
+        let campaign_start = Instant::now();
+        for completed in 1..=10 {
+            r.publish_progress(completed, 10, JobOutcome::Memo, campaign_start);
         }
         assert_eq!(sub.dropped(), 8);
         assert_eq!(r.counter_value(EVENTS_DROPPED_COUNTER), 8);

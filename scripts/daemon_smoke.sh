@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the `repro serve` daemon: health, keep-alive,
 # memoization across requests, option validation, cache GC, request
-# coalescing, text/SSE response formats, the event firehose, and
+# coalescing, text/SSE response formats, the per-run event feed, and
 # graceful drain.
 #
 # Usage: scripts/daemon_smoke.sh [--cluster] [REPRO_BINARY] [ADDR]
 #   --cluster     smoke the sharded fleet instead: a router on ADDR in
 #                 front of two workers on the next two ports — routed
-#                 runs, peer health, failover-free byte-identity, and
-#                 the node-labelled aggregated /metrics scrape
+#                 runs, peer health, failover-free byte-identity, the
+#                 node-labelled aggregated /metrics scrape, and no
+#                 /events endpoint
 #   REPRO_BINARY  path to the repro binary (default target/release/repro)
 #   ADDR          host:port to bind      (default 127.0.0.1:7878)
 #
@@ -102,6 +103,10 @@ if [ "${CLUSTER}" -eq 1 ]; then
   grep -q "node=\"${W2}\"" fleet_metrics.txt
   grep -q "horizon_serve_requests{node=" fleet_metrics.txt
 
+  # The router tunnels only run streams; there is no event firehose.
+  code=$(curl -sS -o /dev/null -w '%{http_code}' "${BASE}/events")
+  test "${code}" -eq 404
+
   # Graceful drain, fleet-wide.
   kill -TERM "${ROUTER_PID}" "${W1_PID}" "${W2_PID}"
   rc=0
@@ -140,14 +145,13 @@ hits_after=$(metric horizon_engine_memo_hits)
 echo "memo hits: ${hits_before} -> ${hits_after}"
 test "${hits_after}" -gt "${hits_before}"
 
-# Unknown options are rejected loudly; sampling and per-request
-# deadlines are gone, so their options are among them.
-code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
-  -d '{"quick":true,"sampling":"simpoint"}' "${BASE}/run/table1")
-test "${code}" -eq 400
-code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
-  -d '{"quick":true,"deadline_ms":1}' "${BASE}/run/table1")
-test "${code}" -eq 400
+# Unknown options are rejected loudly; sampling, per-request deadlines
+# and window overrides are gone, so their options are among them.
+for option in '"sampling":"simpoint"' '"deadline_ms":1' '"instructions":1000' '"warmup":10'; do
+  code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+    -d "{\"quick\":true,${option}}" "${BASE}/run/table1")
+  test "${code}" -eq 400
+done
 
 # /cache/gc reports what it pruned.
 curl -fsS -X POST -d '{"max_entries": 1024}' "${BASE}/cache/gc" > gc.json
@@ -184,20 +188,26 @@ echo "first phase event at line ${first_phase}, report at line ${report_line}"
 test "${first_phase}" -lt "${report_line}"
 awk '/^event: /{last=$2} END{exit last != "report"}' stream.txt
 grep -A1 '^event: report' stream.txt | grep -q '"schema_version":1'
+# A run stream carries only the run's feed: no counter frames.
+if grep -q '^event: counter' stream.txt; then
+  echo "streamed run sent counter frames" >&2
+  exit 1
+fi
+# This table1 run repeats a memoized one, so every job is a memo hit:
+# the last progress frame counts them from the jobs' own outcomes and
+# agrees with the report's engine deltas.
+last_hits=$(grep -A1 '^event: progress' stream.txt | grep -o '"memo_hits":[0-9]*' \
+  | tail -1 | cut -d: -f2)
+report_hits=$(grep -A1 '^event: report' stream.txt | grep -o '"memo_hits_delta":[0-9]*' \
+  | cut -d: -f2)
+echo "streamed memo hits: last progress ${last_hits:-none}, report ${report_hits:-none}"
+test -n "${last_hits}"
+test "${last_hits}" -gt 0
+test "${last_hits}" -eq "${report_hits}"
 
-# Firehose closes after the requested number of events. Wait for the
-# subscription to register before triggering the run — a memoized run
-# completes in microseconds, faster than curl can connect.
-curl -fsSN "${BASE}/events?limit=2" > firehose.txt &
-FIREHOSE_PID=$!
-for _ in $(seq 1 50); do
-  subs=$(curl -fsS "${BASE}/healthz" | grep -o '"event_subscribers":[0-9]*' | cut -d: -f2)
-  if test "${subs:-0}" -ge 1; then break; fi
-  sleep 0.1
-done
-curl -fsS -X POST -d '{"quick":true}' "${BASE}/run/table1" > /dev/null
-wait "${FIREHOSE_PID}"
-test "$(grep -c '^event: ' firehose.txt)" -eq 2
+# There is no daemon-wide event firehose.
+code=$(curl -sS -o /dev/null -w '%{http_code}' "${BASE}/events")
+test "${code}" -eq 404
 
 kill -TERM "${SERVE_PID}"
 # Watchdog: SIGKILL if the daemon fails to drain within 30s, which
